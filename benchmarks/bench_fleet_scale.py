@@ -9,9 +9,9 @@ the gated size.
 Protocol:
 
 * **Bit-identity is asserted in the same run** — at the small sizes both
-  engines run and their ``row()`` records (including ``timeline_digest``)
-  and per-tag ``snapshot()`` states must match field-for-field before any
-  timing is trusted.
+  engines run and their ``row()`` records (including ``timeline_digest``
+  and the per-tag ``outcome_digest``) and per-tag ``snapshot()`` states
+  must match field-for-field before any timing is trusted.
 * **One timed run per (engine, size)** — a fleet run is already a
   sustained workload (hundreds of rounds); run-to-run noise is far below
   the gated margin.
@@ -88,7 +88,7 @@ def run_once(n_tags: int, engine: str):
 
 def assert_bit_identical(ref, vec, n_tags: int) -> None:
     tag = f"n_tags={n_tags}"
-    assert ref.row() == vec.row(), tag  # includes the timeline_digest
+    assert ref.row() == vec.row(), tag  # includes both digests
     for tag_ref, tag_vec in zip(ref.tags, vec.tags):
         assert tag_ref.link.snapshot() == tag_vec.link.snapshot(), tag
     assert ref.transitions == vec.transitions, tag
@@ -111,7 +111,8 @@ def run_benchmark() -> dict:
                 assert_bit_identical(ref_result, result, n_tags)
             else:
                 # Full per-tag compare is wasteful at the gated size; the
-                # digest + counters pin the dynamics.
+                # digests + counters pin the dynamics and every tag's
+                # delivery outcome.
                 assert ref_result.row() == result.row(), f"n_tags={n_tags}"
 
     n_rounds = int(build_config(SIZES[0]).duration_s)  # round_interval_s=1
@@ -147,6 +148,9 @@ def run_benchmark() -> dict:
         "delivered": {str(n): row["delivered"] for n, row in store_rows.items()},
         "timeline_digest": {
             str(n): row["timeline_digest"] for n, row in store_rows.items()
+        },
+        "outcome_digest": {
+            str(n): row["outcome_digest"] for n, row in store_rows.items()
         },
     }
 

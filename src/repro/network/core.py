@@ -42,7 +42,10 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, seq, event)`` entries: ``seq`` is unique, so ``heapq``
+        #: orders them by comparing two floats or ints in C and never
+        #: reaches the event (no generated dataclass ``__lt__`` per swap).
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -53,17 +56,17 @@ class EventQueue:
         if time < 0:
             raise ValueError(f"cannot schedule into negative time ({time})")
         event = Event(time=float(time), seq=self._seq, kind=kind, payload=payload)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event (ties: scheduling order)."""
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek_time(self) -> float | None:
         """Time of the next event, or None when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 def _child_rng(root_seed: int, index: int) -> np.random.Generator:

@@ -44,12 +44,18 @@ Both draw exactly one uniform per served slot from the served tag's own
 stream, in service order, so they are *bit-identical* — same per-tag
 snapshots, same ``FrameOutcome`` sequences, same ``timeline_digest`` —
 which ``tests/network/test_linkstore_equivalence.py`` enforces.
+
+Both also share the per-tag association bookkeeping, kept in a
+:class:`TagTable` of parallel arrays so a run's cost follows the tags it
+touches, not ``n_tags``; ``sim.tags[i]`` is a :class:`TagState` view over
+one row, built on first access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +63,7 @@ from repro.errors import ConfigError, FailureReason, FailureStage
 from repro.faults.network import NetworkFaultPlan
 from repro.mac.rate_adapt import LinkProfile, default_profile
 from repro.network.core import Event, EventQueue, spawn_streams
-from repro.network.link import FrameOutcome, TagLinkState
+from repro.network.link import FrameOutcome
 from repro.network.link_reference import ReferenceTagLinkState
 from repro.network.linkstore import LinkStateStore, TagLinkView
 from repro.network.reader import Reader, ReaderHealth
@@ -138,27 +144,119 @@ class FleetConfig:
         return self.n_readers * self.reader_spacing_m
 
 
-@dataclass
 class TagState:
-    """Fleet-side view of one tag: placement, association, link state."""
+    """Fleet-side view of one tag: placement, association, link state.
 
-    tag_id: int
-    position_m: float
-    #: The migration-safe link state: a scalar object (reference engine)
-    #: or a :class:`TagLinkView` window onto the fleet's store.
-    link: TagLinkState | TagLinkView | ReferenceTagLinkState
-    #: Current reader, or None while detached / re-associating.
-    reader_id: int | None = None
-    #: Last time this tag heard its reader's beacon.
-    last_heard: float = 0.0
-    #: When the (now lost) reader was last heard — handoff latency anchor.
-    silent_since: float | None = None
-    #: The reader lost most recently (-1: never associated).
-    prev_reader: int = -1
-    reassoc_attempts: int = 0
-    handoffs: int = 0
-    detaches: int = 0
-    handoff_latencies: list[float] = field(default_factory=list)
+    A live ``__slots__`` view over one row of the fleet's :class:`TagTable`:
+    it is built on first access and cached, so ``sim.tags[i] is
+    sim.tags[i]`` and ``tag.link is tag.link``, and every read reflects the
+    table as it is now.  Handoff counts and latencies come from the fleet's
+    handoff log.
+    """
+
+    __slots__ = ("_table", "tag_id", "link")
+
+    def __init__(self, table: TagTable, tag_id: int, link):
+        self._table = table
+        self.tag_id = tag_id
+        #: The migration-safe link state: a scalar object (reference engine)
+        #: or a :class:`TagLinkView` window onto the fleet's store.
+        self.link: TagLinkView | ReferenceTagLinkState = link
+
+    @property
+    def position_m(self) -> float:
+        return float(self._table.position_m[self.tag_id])
+
+    @property
+    def reader_id(self) -> int | None:
+        """Current reader, or None while detached / re-associating."""
+        reader = int(self._table.reader[self.tag_id])
+        return None if reader < 0 else reader
+
+    @property
+    def last_heard(self) -> float:
+        """Last time this tag heard its reader's beacon."""
+        return float(self._table.last_heard[self.tag_id])
+
+    @property
+    def silent_since(self) -> float | None:
+        """When the (now lost) reader was last heard — handoff latency anchor."""
+        since = float(self._table.silent_since[self.tag_id])
+        return None if math.isnan(since) else since
+
+    @property
+    def prev_reader(self) -> int:
+        """The reader lost most recently (-1: never associated)."""
+        return int(self._table.prev_reader[self.tag_id])
+
+    @property
+    def reassoc_attempts(self) -> int:
+        return int(self._table.reassoc_attempts[self.tag_id])
+
+    @property
+    def detaches(self) -> int:
+        return int(self._table.detaches[self.tag_id])
+
+    @property
+    def handoffs(self) -> int:
+        return len(self._table.handoff_latencies(self.tag_id))
+
+    @property
+    def handoff_latencies(self) -> list[float]:
+        return list(self._table.handoff_latencies(self.tag_id))
+
+
+class TagTable:
+    """The fleet's per-tag state as parallel arrays; tag id indexes each.
+
+    Indexing or iterating yields cached :class:`TagState` views, built on
+    first touch — a million-tag run pays for the rows someone looks at,
+    not for a million objects.  ``reader`` is -1 and ``silent_since`` NaN
+    where the scalar view reads None.
+    """
+
+    def __init__(self, position_m: np.ndarray, link_of, handoff_log: list):
+        n = position_m.shape[0]
+        self.position_m = position_m
+        self.reader = np.full(n, -1, dtype=np.int64)
+        self.last_heard = np.zeros(n, dtype=np.float64)
+        self.silent_since = np.full(n, np.nan, dtype=np.float64)
+        self.prev_reader = np.full(n, -1, dtype=np.int64)
+        self.reassoc_attempts = np.zeros(n, dtype=np.int64)
+        self.detaches = np.zeros(n, dtype=np.int64)
+        #: The simulator's append-only ``(time, tag_id, from, to, latency)``
+        #: log (the same list object), indexed by tag on demand.
+        self.handoff_log = handoff_log
+        self._link_of = link_of
+        self._views: dict[int, TagState] = {}
+        self._latencies: dict[int, list[float]] = {}
+        self._indexed = 0
+
+    def __len__(self) -> int:
+        return self.position_m.shape[0]
+
+    def __getitem__(self, tag_id: int) -> TagState:
+        n = len(self)
+        index = operator.index(tag_id)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError(f"tag {tag_id} out of range ({n} tags)")
+        view = self._views.get(index)
+        if view is None:
+            view = self._views[index] = TagState(self, index, self._link_of(index))
+        return view
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def handoff_latencies(self, tag_id: int) -> list[float]:
+        """One tag's handoff latencies, in time order (do not mutate)."""
+        log = self.handoff_log
+        for _, tid, _, _, latency in log[self._indexed :]:
+            self._latencies.setdefault(tid, []).append(latency)
+        self._indexed = len(log)
+        return self._latencies.get(tag_id, [])
 
 
 @dataclass
@@ -168,7 +266,7 @@ class FleetResult:
     config: FleetConfig
     root_seed: int
     fault_names: list[str]
-    tags: list[TagState]
+    tags: TagTable
     readers: list[Reader]
     #: Reader health transitions: ``(time, reader_id, old, new)``.
     transitions: list[tuple[float, int, str, str]]
@@ -182,31 +280,29 @@ class FleetResult:
 
     # ------------------------------------------------------------ aggregates
 
+    def _per_tag(self, counter: str) -> np.ndarray:
+        """One link counter per tag id (int64, length ``n_tags``)."""
+        if self.store is not None:
+            return getattr(self.store, counter)
+        return np.fromiter(
+            (getattr(t.link, counter) for t in self.tags), dtype=np.int64, count=len(self.tags)
+        )
+
     @property
     def delivered(self) -> int:
-        if self.store is not None:
-            return int(self.store.delivered.sum())
-        return sum(t.link.delivered for t in self.tags)
+        return int(self._per_tag("delivered").sum())
 
     @property
     def abandoned(self) -> int:
-        if self.store is not None:
-            return int(self.store.abandoned.sum())
-        return sum(t.link.abandoned for t in self.tags)
+        return int(self._per_tag("abandoned").sum())
 
     @property
     def attempts(self) -> int:
-        if self.store is not None:
-            return int(self.store.attempts.sum())
-        return sum(t.link.attempts for t in self.tags)
+        return int(self._per_tag("attempts").sum())
 
     def per_tag_delivered(self) -> np.ndarray:
         """Delivered-frame count per tag id (int64, length ``n_tags``)."""
-        if self.store is not None:
-            return self.store.delivered.copy()
-        return np.fromiter(
-            (t.link.delivered for t in self.tags), dtype=np.int64, count=len(self.tags)
-        )
+        return self._per_tag("delivered").copy()
 
     @property
     def fairness_jain(self) -> float:
@@ -243,12 +339,12 @@ class FleetResult:
 
     @property
     def handoffs(self) -> int:
-        return sum(t.handoffs for t in self.tags)
+        return len(self.handoff_log)
 
     @property
     def unassociated_tags(self) -> list[int]:
         """Tags without a reader when the run ended."""
-        return [t.tag_id for t in self.tags if t.reader_id is None]
+        return (self.tags.reader < 0).nonzero()[0].tolist()
 
     @property
     def orphaned_tags(self) -> list[int]:
@@ -280,8 +376,13 @@ class FleetResult:
 
         Includes a ``timeline_digest`` fingerprint of the transition and
         handoff logs so bit-identity tests can compare full dynamics, not
-        just endpoint counters, across worker counts and resume."""
-        latencies = [lat for t in self.tags for lat in t.handoff_latencies]
+        just endpoint counters, across worker counts and resume, and an
+        ``outcome_digest`` of every tag's delivered/abandoned/attempts
+        counters, which the timeline does not see."""
+        # Tag-id-major, chronological within a tag (a stable sort): the
+        # float sum below depends on this order.
+        by_tag = sorted(self.handoff_log, key=operator.itemgetter(1))
+        latencies = [entry[4] for entry in by_tag]
         return {
             "n_readers": self.config.n_readers,
             "n_tags": self.config.n_tags,
@@ -295,7 +396,7 @@ class FleetResult:
             "airtime_s": sum(r.airtime_s for r in self.readers),
             "frames_served": sum(r.frames_served for r in self.readers),
             "handoffs": self.handoffs,
-            "detaches": sum(t.detaches for t in self.tags),
+            "detaches": int(self.tags.detaches.sum()),
             "handoff_latency_mean_s": (
                 float(sum(latencies) / len(latencies)) if latencies else 0.0
             ),
@@ -311,6 +412,11 @@ class FleetResult:
             "transitions": len(self.transitions),
             "events_processed": self.events_processed,
             "timeline_digest": fingerprint(self.transitions, self.handoff_log),
+            "outcome_digest": fingerprint(
+                self._per_tag("delivered"),
+                self._per_tag("abandoned"),
+                self._per_tag("attempts"),
+            ),
         }
 
 
@@ -403,10 +509,10 @@ class FleetSimulator:
                 fail_threshold=cfg.fail_threshold,
                 recover_after=cfg.recover_after,
             )
-            links = [TagLinkView(self._store, i) for i in range(cfg.n_tags)]
+            link_of = self._store.view
         else:
             self._store = None
-            links = [
+            self._links = [
                 ReferenceTagLinkState(
                     self.profile,
                     payload_bytes=cfg.payload_bytes,
@@ -417,10 +523,7 @@ class FleetSimulator:
                 )
                 for i in range(cfg.n_tags)
             ]
-        self.tags = [
-            TagState(tag_id=i, position_m=float(positions[i]), link=links[i])
-            for i in range(cfg.n_tags)
-        ]
+            link_of = self._links.__getitem__
         # Static SNR matrix: geometry never changes mid-run; impairments
         # (occlusion dB) are applied per-frame on top.  One broadcast
         # snr_db call over the distance matrix (log10 vectorizes
@@ -430,17 +533,14 @@ class FleetSimulator:
             np.abs(positions[:, None] - reader_pos[None, :]), _MIN_DISTANCE_M
         )
         self._snr = np.asarray(self.budget.snr_db(dist), dtype=np.float64)
-        # Authoritative association bookkeeping, as arrays: beacons touch
-        # every scheduled tag every round and the heartbeat check scans
-        # every tag — per-object attribute walks would dominate a 100k-tag
-        # run (for both engines; this is shared timeline bookkeeping, not
-        # part of the frozen serve path).  ``TagState.last_heard`` is
-        # synced back from ``_last_heard`` when the run finishes.
-        self._last_heard = np.zeros(cfg.n_tags, dtype=np.float64)
-        self._assoc = np.full(cfg.n_tags, -1, dtype=np.int64)
         self.frame_log = []
         self.transitions: list[tuple[float, int, str, str]] = []
         self.handoff_log: list[tuple[float, int, int, int, float]] = []
+        # Authoritative association bookkeeping, as arrays: beacons touch
+        # every scheduled tag every round and the heartbeat check scans
+        # every tag (for both engines; this is shared timeline
+        # bookkeeping, not part of the frozen serve path).
+        self.tags = TagTable(positions, link_of, self.handoff_log)
         self._events_processed = 0
         #: Per-reader discovery service cost (a storm can override it).
         self._discovery_cost = [cfg.discovery_cost_s] * cfg.n_readers
@@ -471,9 +571,9 @@ class FleetSimulator:
         attempts, drawn from their own stream in the event loop)."""
         if self._associate_initial_batch():
             return
-        for tag in self.tags:
-            if not self._try_associate(tag, now=0.0, initial=True):
-                tag.silent_since = 0.0
+        for tag_id in range(self.config.n_tags):
+            self._try_associate(tag_id, now=0.0, initial=True)
+        self.tags.silent_since[self.tags.reader < 0] = 0.0
 
     def _associate_initial_batch(self) -> bool:
         """Whole-fleet t=0 admission in one argmax, when no queue fills.
@@ -498,9 +598,7 @@ class FleetSimulator:
             reader._members.update(reader.schedule)
             reader._sched_arr = None
             reader.max_queue_depth = max(reader.max_queue_depth, len(reader.schedule))
-        self._assoc[:] = best
-        for tag in self.tags:
-            tag.reader_id = int(best[tag.tag_id])
+        self.tags.reader[:] = best
         return True
 
     # -------------------------------------------------------------- run loop
@@ -512,20 +610,14 @@ class FleetSimulator:
         self._schedule(queue)
         self._associate_initial()
         # Shed tags from initial association retry via the event loop.
-        for tag in self.tags:
-            if tag.reader_id is None:
-                self._schedule_reassoc(tag, now=0.0, queue=queue)
+        for tag_id in (self.tags.reader < 0).nonzero()[0].tolist():
+            self._schedule_reassoc(tag_id, 0, now=0.0, queue=queue)
         while len(queue):
             event = queue.pop()
             if event.time > self.config.duration_s:
                 continue
             self._dispatch(event, queue)
             self._events_processed += 1
-        # Sync the array-held beacon times back onto the tag objects so
-        # the result's TagStates read as they always did.
-        heard = self._last_heard.tolist()
-        for tag in self.tags:
-            tag.last_heard = heard[tag.tag_id]
         result = FleetResult(
             config=self.config,
             root_seed=self.root_seed,
@@ -556,7 +648,7 @@ class FleetSimulator:
         elif kind == "tag_check":
             self._tag_check(now, queue)
         elif kind == "reassoc":
-            self._reassoc_attempt(self.tags[p["tag_id"]], now, queue)
+            self._reassoc_attempt(p["tag_id"], now, queue)
         elif kind == "reader_crash":
             self._with_transition(p["reader_id"], now, Reader.crash)
         elif kind == "reader_restart":
@@ -626,7 +718,7 @@ class FleetSimulator:
             budget_s *= cfg.recovering_duty_factor
         # Beacon: every scheduled tag hears its heartbeat (one fancy-index
         # store instead of a per-tag attribute walk).
-        self._last_heard[reader.schedule_array()] = now
+        self.tags.last_heard[reader.schedule_array()] = now
         used = 0.0
         # Discovery backlog first, capped so a storm cannot starve data.
         if reader.pending_discovery:
@@ -652,12 +744,11 @@ class FleetSimulator:
         (reader, outcome) per round — same totals and labels as the
         reference's per-slot counts, without a per-slot observer call.
         """
-        order = reader.service_order_array()
-        if order.shape[0] == 0:
+        if not reader.schedule:
             return 0, used
         rid = reader.reader_id
         res = self._store.serve_round(
-            order,
+            reader.schedule_array(),
             self._snr[:, rid],
             reader.occlusion_db,
             reader.collision_prob,
@@ -665,6 +756,7 @@ class FleetSimulator:
             used,
             self._tag_rngs,
             reader_key=rid,
+            start=reader.next_slot,
         )
         n_served = res.n_served
         if self.record_frames and n_served:
@@ -702,12 +794,12 @@ class FleetSimulator:
         :mod:`repro.network.link_reference`): do not optimise it."""
         served = 0
         for tag_id in reader.service_order():
-            tag = self.tags[tag_id]
-            airtime = tag.link.frame_airtime_s()
+            link = self._links[tag_id]
+            airtime = link.frame_airtime_s()
             if used + airtime > budget_s:
                 break
             snr = float(self._snr[tag_id, reader.reader_id]) - reader.occlusion_db
-            outcome = tag.link.attempt_frame(
+            outcome = link.attempt_frame(
                 snr, self._tag_rngs[tag_id], extra_fail_prob=reader.collision_prob
             )
             used += outcome.airtime_s
@@ -726,78 +818,81 @@ class FleetSimulator:
     def _tag_check(self, now: float, queue: EventQueue) -> None:
         """Heartbeat-missed detection, in tag-id order.
 
-        The scan is one vectorized predicate over the association arrays
-        (``now - last_heard`` vectorizes elementwise-exact, so the stale
-        set is identical to the per-tag scalar comparison); only the
-        handful of stale tags pay the Python detach bookkeeping.
+        The scan is one vectorized predicate over the tag table (``now -
+        last_heard`` vectorizes elementwise-exact, so the stale set is
+        identical to the per-tag scalar comparison) and the detach writes
+        are array assignments over the stale set; only the schedule drop
+        and the backoff draw stay per stale tag.
         """
         cfg = self.config
+        tags = self.tags
         deadline = cfg.heartbeat_miss_threshold * cfg.round_interval_s
-        stale = ((self._assoc >= 0) & (now - self._last_heard > deadline)).nonzero()[0]
-        for tag_id in stale.tolist():  # ascending == tag-id order
-            tag = self.tags[tag_id]
-            # Reader lost: detach and start re-association.
-            self.readers[tag.reader_id].drop(tag.tag_id)
-            tag.silent_since = float(self._last_heard[tag_id])
-            tag.prev_reader = tag.reader_id
-            tag.reader_id = None
-            self._assoc[tag_id] = -1
-            tag.reassoc_attempts = 0
-            tag.detaches += 1
+        stale = ((tags.reader >= 0) & (now - tags.last_heard > deadline)).nonzero()[0]
+        if not stale.size:
+            return
+        # Reader lost: detach and start re-association.
+        lost = tags.reader[stale]
+        tags.silent_since[stale] = tags.last_heard[stale]
+        tags.prev_reader[stale] = lost
+        tags.reader[stale] = -1
+        tags.reassoc_attempts[stale] = 0
+        tags.detaches[stale] += 1  # stale ids are distinct
+        for tag_id, reader_id in zip(stale.tolist(), lost.tolist()):  # tag-id order
+            self.readers[reader_id].drop(tag_id)
             if self.obs.enabled:
                 self.obs.count("network.detach_total")
-            self._schedule_reassoc(tag, now, queue)
+            self._schedule_reassoc(tag_id, 0, now, queue)
 
-    def _schedule_reassoc(self, tag: TagState, now: float, queue: EventQueue) -> None:
+    def _schedule_reassoc(
+        self, tag_id: int, attempts: int, now: float, queue: EventQueue
+    ) -> None:
         """Seeded exponential backoff from the tag's own stream."""
         cfg = self.config
         nominal = min(
             cfg.reassoc_backoff_cap_s,
-            cfg.reassoc_backoff_base_s * cfg.reassoc_backoff_factor**tag.reassoc_attempts,
+            cfg.reassoc_backoff_base_s * cfg.reassoc_backoff_factor**attempts,
         )
-        jitter = 0.5 + self._tag_rngs[tag.tag_id].random()  # in [0.5, 1.5)
+        jitter = 0.5 + self._tag_rngs[tag_id].random()  # in [0.5, 1.5)
         t = now + nominal * jitter
         if t <= cfg.duration_s:
-            queue.push(t, "reassoc", tag_id=tag.tag_id)
+            queue.push(t, "reassoc", tag_id=tag_id)
 
-    def _reassoc_attempt(self, tag: TagState, now: float, queue: EventQueue) -> None:
-        if tag.reader_id is not None:
+    def _reassoc_attempt(self, tag_id: int, now: float, queue: EventQueue) -> None:
+        tags = self.tags
+        if tags.reader[tag_id] >= 0:
             return
-        if self._try_associate(tag, now):
+        if self._try_associate(tag_id, now):
             return
-        tag.reassoc_attempts += 1
-        self._schedule_reassoc(tag, now, queue)
+        attempts = int(tags.reassoc_attempts[tag_id]) + 1
+        tags.reassoc_attempts[tag_id] = attempts
+        self._schedule_reassoc(tag_id, attempts, now, queue)
 
-    def _try_associate(self, tag: TagState, now: float, initial: bool = False) -> bool:
+    def _try_associate(self, tag_id: int, now: float, initial: bool = False) -> bool:
         """Admit at the best-SNR beaconing reader; handoff bookkeeping.
 
         Candidate order is ``(-effective_snr, reader_id)`` — fully
         deterministic.  The tag's :class:`TagLinkState` is untouched:
         handoff migrates it."""
+        snr = self._snr[tag_id].tolist()
         candidates = sorted(
             (r for r in self.readers if r.beaconing),
-            key=lambda r: (
-                -(float(self._snr[tag.tag_id, r.reader_id]) - r.occlusion_db),
-                r.reader_id,
-            ),
+            key=lambda r: (-(snr[r.reader_id] - r.occlusion_db), r.reader_id),
         )
         for reader in candidates:
-            if reader.admit(tag.tag_id):
-                tag.reader_id = reader.reader_id
-                tag.last_heard = now
-                self._assoc[tag.tag_id] = reader.reader_id
-                self._last_heard[tag.tag_id] = now
+            if reader.admit(tag_id):
+                tags = self.tags
+                tags.reader[tag_id] = reader.reader_id
+                tags.last_heard[tag_id] = now
                 if not initial:
-                    latency = now - (tag.silent_since if tag.silent_since is not None else now)
-                    tag.handoffs += 1
-                    tag.handoff_latencies.append(latency)
+                    since = float(tags.silent_since[tag_id])
+                    latency = now - (now if math.isnan(since) else since)
                     self.handoff_log.append(
-                        (now, tag.tag_id, tag.prev_reader, reader.reader_id, latency)
+                        (now, tag_id, int(tags.prev_reader[tag_id]), reader.reader_id, latency)
                     )
                     if self.obs.enabled:
                         self.obs.count("network.handoffs_total")
                         self.obs.observe("network.handoff_latency_s", latency)
-                tag.silent_since = None
+                tags.silent_since[tag_id] = math.nan
                 return True
         if self.obs.enabled and not initial:
             self.obs.count("network.reassoc_failures_total")

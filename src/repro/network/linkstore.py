@@ -20,10 +20,12 @@ pending ARQ attempts, watchdog failure/success counters, recovery
   probabilities, built lazily on first use and cached — served rounds are
   then pure table lookups + broadcasting.
 
-:meth:`serve_round` turns a reader's whole rotated schedule into one
-kernel invocation: gather each scheduled tag's airtime from its current
-rung, left-fold ``cumsum`` + cutoff against the round's airtime budget to
-find the served prefix (bitwise the reference's sequential accumulation),
+:meth:`serve_round` turns a reader's round into one kernel invocation:
+gather the airtime of each tag in a window of the rotated schedule from
+its current rung, left-fold ``cumsum`` + cutoff against the round's
+airtime budget to find the served prefix (bitwise the reference's
+sequential accumulation; the window widens until the budget cuts it, so a
+round's cost follows the tags it can serve, not the schedule length),
 draw **exactly one uniform per served tag from that tag's own stream**
 (the documented determinism contract — a tag's outcome sequence depends
 only on its own seed and how many slots it was served), then apply the
@@ -159,6 +161,8 @@ class LinkStateStore:
             [self.overhead_s + self._bits_on_air / r for r in self.ladder],
             dtype=np.float64,
         )
+        #: Sizes serve_round's first scan window.
+        self._min_airtime_s = float(self.airtime_by_rung.min())
 
         # ---- the struct-of-arrays state (tag id indexes every array) ----
         self.rung = np.zeros(self.n_tags, dtype=np.int64)  # probe at rung 0
@@ -344,13 +348,15 @@ class LinkStateStore:
         used_s: float,
         rngs,
         reader_key,
+        start: int = 0,
     ) -> RoundServe:
         """Serve the budget-limited prefix of a reader's rotated schedule.
 
         Parameters
         ----------
         order:
-            Tag ids in service order (the rotated TDMA schedule).
+            The reader's schedule (tag ids); service starts at
+            ``order[start]`` and wraps round to ``order[start - 1]``.
         snr_col:
             The reader's static per-tag SNR column (indexed by tag id).
         occlusion_db / collision_prob:
@@ -364,14 +370,35 @@ class LinkStateStore:
             *served* tag's own stream, in service order.
         reader_key:
             Success-row cache key component (the reader id).
+        start:
+            The rotation offset (the reader's next slot).
+
+        Only a window of the rotated schedule is scanned: the first holds
+        one more tag than the budget could fit at the cheapest rung, and
+        it doubles until its last running sum passes the budget or it
+        covers the schedule.  Running sums never decrease, so no tag past
+        the window could fit and the served prefix is the full scan's.
         """
         xp = active_backend().xp
-        ids = xp.asarray(order, dtype=xp.int64)
-        rung_o = self.rung[ids]
-        air = self.airtime_by_rung[rung_o]
-        # Left-fold accumulation from used_s, bitwise the reference's
-        # sequential `used += airtime`; cumsum is defined sequentially.
-        running = xp.cumsum(xp.concatenate((xp.asarray([used_s]), air)))
+        sched = xp.asarray(order, dtype=xp.int64)
+        n = sched.shape[0]
+        start = start % n if n else 0
+        head = xp.asarray([used_s])
+        window = min(n, max(int((budget_s - used_s) / self._min_airtime_s), 0) + 1)
+        while True:
+            end = start + window
+            if end <= n:
+                ids = sched[start:end]
+            else:
+                ids = xp.concatenate((sched[start:], sched[: end - n]))
+            rung_o = self.rung[ids]
+            air = self.airtime_by_rung[rung_o]
+            # Left-fold accumulation from used_s, bitwise the reference's
+            # sequential `used += airtime`; cumsum is defined sequentially.
+            running = xp.cumsum(xp.concatenate((head, air)))
+            if window == n or running[window] > budget_s:
+                break
+            window = min(n, 2 * window)
         n_served = int(xp.searchsorted(running[1:], budget_s, side="right"))
         served = ids[:n_served]
         rung_s = rung_o[:n_served]

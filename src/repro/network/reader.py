@@ -184,18 +184,6 @@ class Reader:
             self._sched_arr = np.asarray(self.schedule, dtype=np.int64)
         return self._sched_arr
 
-    def service_order_array(self) -> np.ndarray:
-        """:meth:`service_order` as an ndarray — same ids, same rotation,
-        built by slicing the cached array instead of list concatenation."""
-        sched = self.schedule_array()
-        n = sched.shape[0]
-        if n == 0:
-            return sched
-        start = self.next_slot % n
-        if start == 0:
-            return sched
-        return np.concatenate((sched[start:], sched[:start]))
-
     def advance_rotation(self, n_served: int) -> None:
         """Rotate the service origin past the tags served this round."""
         if self.schedule:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network.core import Event, EventQueue, spawn_streams
 
@@ -45,6 +46,39 @@ class TestEventQueue:
         ev = q.pop()
         assert isinstance(ev, Event)
         assert ev.payload == {"reader_id": 2}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        ops=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.floats(0.0, 3.0), st.none()),
+            max_size=120,
+        )
+    )
+    def test_random_pushes_pop_in_time_then_seq_order(self, ops):
+        """Pushes (few distinct times, so many ties) interleaved with pops
+        (``None``): every pop returns the least pending ``(time, seq)``, so
+        equal times leave in scheduling order, and ``peek_time`` agrees."""
+        q = EventQueue()
+        pending: set[tuple[float, int]] = set()
+
+        def pop_one():
+            want = min(pending)
+            assert q.peek_time() == want[0]
+            ev = q.pop()
+            assert isinstance(ev, Event)
+            assert (ev.time, ev.seq) == want
+            pending.remove(want)
+
+        for op in ops:
+            if op is None:
+                if pending:
+                    pop_one()
+                continue
+            ev = q.push(op, "x")
+            pending.add((ev.time, ev.seq))
+        while pending:
+            pop_one()
+        assert q.peek_time() is None and len(q) == 0
 
 
 class TestSpawnStreams:

@@ -111,12 +111,29 @@ class TestCrashAcceptance:
         sim.readers[old_reader].crash()
         sim._tag_check(now=10.0, queue=queue)
         assert tag.reader_id is None
-        sim._reassoc_attempt(tag, now=12.0, queue=queue)
+        sim._reassoc_attempt(tag.tag_id, now=12.0, queue=queue)
         assert tag.reader_id is not None and tag.reader_id != old_reader
         assert tag.link is link_obj
         assert tag.link.snapshot() == before
         # Latency anchors at the last heard beacon (t=0 here: no rounds ran).
         assert tag.handoffs == 1 and tag.handoff_latencies == [12.0]
+
+
+class TestTagTable:
+    def test_views_are_cached_live_rows(self):
+        sim = FleetSimulator(FleetConfig(), fault_plan=network_scenario("reader_crash", 30.0),
+                             root_seed=SEED)
+        res = sim.run()
+        assert res.tags is sim.tags and len(res.tags) == sim.config.n_tags
+        tag = res.tags[3]
+        assert res.tags[3] is tag and res.tags[-1] is res.tags[len(res.tags) - 1]
+        assert tag.link is tag.link and tag.link.tag_id == 3
+        assert [t.tag_id for t in res.tags] == list(range(len(res.tags)))
+        # Views read the table as it is now.
+        res.tags.reader[3] = -1
+        assert tag.reader_id is None and 3 in res.unassociated_tags
+        with pytest.raises(IndexError):
+            res.tags[len(res.tags)]
 
 
 class TestDeterminism:
@@ -142,6 +159,25 @@ class TestDeterminism:
         )
         assert silent == loud
         assert obs.metrics.snapshot()  # ...but metrics were recorded
+
+    def test_latency_mean_sums_tag_by_tag(self):
+        """Float sums depend on order: the mean adds handoff latencies tag
+        id by tag id (chronologically within a tag), not in log order."""
+        res = run_fleet(None)
+        res.handoff_log[:] = [(1.0, 2, 0, 1, 0.3), (2.0, 1, 0, 1, 0.2), (3.0, 0, 0, 1, 0.1)]
+        assert 0.3 + 0.2 + 0.1 != 0.1 + 0.2 + 0.3
+        assert res.row()["handoff_latency_mean_s"] == (0.1 + 0.2 + 0.3) / 3
+
+    def test_outcome_digest_covers_per_tag_delivery(self):
+        res = run_fleet(None)
+        before = res.row()
+        delivered = res.store.delivered
+        delivered[0] -= 1
+        delivered[1] += 1  # same totals, same timeline, different tags
+        after = res.row()
+        assert after["delivered"] == before["delivered"]
+        assert after["timeline_digest"] == before["timeline_digest"]
+        assert after["outcome_digest"] != before["outcome_digest"]
 
     def test_digest_covers_dynamics(self):
         base = run_fleet(None).row()

@@ -112,6 +112,25 @@ class TestDirectedCorners:
         for scenario in SCENARIOS:
             _assert_bit_identical(*_run_pair(cfg, scenario, 1234))
 
+    def test_long_schedules_bit_identical(self):
+        """Schedules far longer than a round can serve: the store engine's
+        budget-bounded scan sees only a window of each rotated schedule,
+        the reference walks it slot by slot; they must still agree."""
+        cfg = FleetConfig(
+            n_readers=3,
+            n_tags=9_000,
+            duration_s=10.0,
+            queue_capacity=9_000,
+            airtime_duty=0.25,
+            payload_bytes=8,
+            overhead_s=0.002,
+        )
+        for scenario in SCENARIOS:
+            ref_sim, ref, vec_sim, vec = _run_pair(cfg, scenario, 77)
+            _assert_bit_identical(ref_sim, ref, vec_sim, vec)
+            # ~3,000 tags per reader; a round serves a handful of them.
+            assert 0 < vec.row()["frames_served"] <= cfg.n_tags * cfg.duration_s / 100
+
     def test_handoff_preserves_view_identity_and_state(self):
         """The crash-handoff drill, on the store engine: the link object a
         tag carries across readers is the same view, same snapshot."""
@@ -198,6 +217,70 @@ class TestScalarStorePath:
             LinkStateStore(profile, n_tags=1, fail_threshold=0)
         with pytest.raises(ConfigError):
             LinkStateStore(profile, n_tags=1, recover_after=0)
+
+
+class TestBoundedScan:
+    """serve_round scans a window of the rotated schedule that widens until
+    the budget cuts it; forcing a tiny first window must change nothing."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        seed=st.integers(0, 2**31),
+        n_tags=st.integers(1, 300),
+        start=st.integers(0, 600),
+        budget_s=st.sampled_from([0.05, 0.3, 1.0, 4.0, 50.0]),
+        used_s=st.sampled_from([0.0, 0.02, 0.4]),
+        collision_prob=st.sampled_from([0.0, 0.3]),
+    )
+    def test_widened_window_equals_full_scan(
+        self, seed, n_tags, start, budget_s, used_s, collision_prob
+    ):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.network.linkstore import RoundServe
+        from repro.utils.backend import make_recording_backend, use_backend
+
+        gen = np.random.default_rng(seed)
+        rungs = gen.integers(0, 8, size=n_tags)
+        order = gen.permutation(n_tags)
+        snr_col = gen.uniform(0.0, 30.0, size=n_tags)
+        stores, results, scans = [], [], []
+        # First window: a single tag (must widen) vs the whole schedule.
+        for min_airtime_s in (1e9, 1e-12):
+            store = LinkStateStore(default_profile(), n_tags, payload_bytes=8, overhead_s=0.002)
+            store.rung[:] = rungs
+            store._min_airtime_s = min_airtime_s
+            rngs = [np.random.default_rng([seed, i]) for i in range(n_tags)]
+            rec = make_recording_backend()
+            with use_backend(rec):
+                res = store.serve_round(
+                    order, snr_col, 3.0, collision_prob, budget_s, used_s, rngs,
+                    reader_key=0, start=start,
+                )
+            stores.append(store)
+            results.append(res)
+            scans.append(rec.xp.op_log.count("cumsum"))
+        narrow, full = results
+        assert scans[1] == 1
+        if full.n_served > 1:
+            assert scans[0] > 1  # the one-tag window had to widen
+        for f in dataclasses.fields(RoundServe):
+            a, b = getattr(narrow, f.name), getattr(full, f.name)
+            assert np.array_equal(a, b), f.name
+        for name in ("rung", "success_streak", "pending_attempts", "delivered",
+                     "abandoned", "attempts", "fallback_active"):
+            assert np.array_equal(getattr(stores[0], name), getattr(stores[1], name))
+        # ...and both equal an independent full-schedule left fold.
+        rotated = np.roll(order, -(start % n_tags))
+        running = np.cumsum(
+            np.concatenate(([used_s], stores[1].airtime_by_rung[rungs[rotated]]))
+        )
+        n_served = int(np.searchsorted(running[1:], budget_s, side="right"))
+        assert full.n_served == n_served
+        assert np.array_equal(full.served, rotated[:n_served])
+        assert full.used_s == running[n_served]
 
 
 class TestSweepInvariance:
