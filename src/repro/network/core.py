@@ -10,6 +10,10 @@ Randomness follows the BatchRunner SeedSequence idiom: one root
 :class:`numpy.random.SeedSequence` spawns an indexed child per entity
 (tag streams first, then reader streams, then the fault plan), so an
 entity's draws depend only on its index — never on event interleaving.
+A stream's first draw can also be taken in bulk, for many fresh streams at
+once, by array arithmetic that reproduces numpy bit for bit
+(:meth:`LazyStreams.random_each`): the same streams, without a
+``Generator`` per stream.
 """
 
 from __future__ import annotations
@@ -69,6 +73,132 @@ class EventQueue:
         return self._heap[0][0] if self._heap else None
 
 
+_MASK32 = 0xFFFFFFFF
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+#: PCG64's 128-bit LCG multiplier, as (high, low) 64-bit limbs.
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
+
+
+def _hash_consts(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The ``(xor, multiplier)`` pairs ``n`` successive hash calls use.
+
+    SeedSequence's running hash constant evolves the same way whatever the
+    data, so each call's constants are fixed by its position alone.
+    """
+    consts = []
+    for _ in range(n):
+        nxt = (init * mult) & _MASK32
+        consts.append((init, nxt))
+        init = nxt
+    return consts
+
+
+#: Constants of the 8 words ``generate_state(4, np.uint64)`` hashes out.
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _root_mix(root_seed: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """What ``SeedSequence(root_seed, spawn_key=(k,))`` does before ``k``.
+
+    The entropy is the root's 32-bit words, zero-padded to the pool size,
+    then ``k`` as one last word; everything up to that word depends on the
+    root only.  Returns the pool at that point and the hash constants the
+    key word meets at each of the four pool slots.
+    """
+    words = []
+    while True:
+        words.append(root_seed & _MASK32)
+        root_seed >>= 32
+        if not root_seed:
+            break
+    words += [0] * (4 - len(words))
+    hash_const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, _hash_consts(hash_const, _MULT_A, 4)
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c_hi: np.uint64, c_lo: np.uint64):
+    """``(hi, lo) * (c_hi, c_lo) mod 2**128`` on uint64 limb arrays."""
+    lo0, lo1 = lo & np.uint64(_MASK32), lo >> np.uint64(32)
+    c0, c1 = c_lo & np.uint64(_MASK32), c_lo >> np.uint64(32)
+    p00, p01, p10 = lo0 * c0, lo0 * c1, lo1 * c0
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_MASK32)) + (p10 & np.uint64(_MASK32))
+    carry = lo1 * c1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return carry + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _seed_words(root_pool, key_consts, keys: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(root, spawn_key=(k,)).generate_state(4, np.uint64)``.
+
+    One uint64 array per state word, over uint32 spawn-key words ``keys``;
+    ``root_pool`` and ``key_consts`` come from :func:`_root_mix`.  The key
+    word is mixed into each pool slot, then the pool hashed out to eight
+    32-bit words, paired little-endian.
+    """
+    pool = []
+    for base, (xor, mult) in zip(root_pool, key_consts):
+        value = (keys ^ np.uint32(xor)) * np.uint32(mult)
+        value ^= value >> np.uint32(16)
+        mixed = np.uint32((_MIX_MULT_L * base) & _MASK32) - np.uint32(_MIX_MULT_R) * value
+        pool.append(mixed ^ (mixed >> np.uint32(16)))
+    state = []
+    for i, (xor, mult) in enumerate(_STATE_CONSTS):
+        word = (pool[i % 4] ^ np.uint32(xor)) * np.uint32(mult)
+        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    return [state[j] | (state[j + 1] << np.uint64(32)) for j in range(0, 8, 2)]
+
+
+def _pcg64_first_double(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
+    """``Generator(PCG64(...)).random()`` for generators seeded with these words.
+
+    PCG64 seeds ``state = inc + seed`` (after one step from zero), steps,
+    then steps again to draw and outputs XSL-RR of the new state; the
+    double is its top 53 bits scaled by ``2**-53``.
+    """
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)
+    for _ in range(2):
+        hi, lo = _add128(*_mul128(hi, lo, *_PCG_MULT), inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> np.uint64(58)
+    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def _child_rng(root_seed: int, index: int) -> np.random.Generator:
     """The ``index``-th spawned child of ``SeedSequence(root_seed)``.
 
@@ -90,6 +220,10 @@ class LazyStreams:
     is touched.  A million-tag fleet where a round serves a few hundred
     tags pays for a few hundred streams, not a million; the streams
     themselves are identical either way.
+
+    :meth:`random_each` draws once from many streams at a time; fresh
+    streams (never built or drawn) get that draw from array arithmetic and
+    are only counted, so a stream drawn once never builds a generator.
     """
 
     def __init__(self, root_seed: int, offset: int, n: int):
@@ -97,6 +231,11 @@ class LazyStreams:
         self._offset = int(offset)
         self._n = int(n)
         self._gens: dict[int, np.random.Generator] = {}
+        #: Bulk draws taken by streams not built yet (index -> count);
+        #: building one advances its generator past them.
+        self._drawn: dict[int, int] = {}
+        #: ``_root_mix(root_seed)``, computed on the first bulk draw.
+        self._mixed_root: tuple | None = None
 
     def __len__(self) -> int:
         return self._n
@@ -109,8 +248,46 @@ class LazyStreams:
         gen = self._gens.get(index)
         if gen is None:
             gen = _child_rng(self._root_seed, self._offset + index)
+            drawn = self._drawn.pop(index, 0)
+            if drawn:
+                gen.bit_generator.advance(drawn)
             self._gens[index] = gen
         return gen
+
+    def random_each(self, indices) -> np.ndarray:
+        """``[self[i].random() for i in indices]`` as a float64 array.
+
+        ``indices`` are distinct stream indices in ``[0, len)``; every
+        stream ends where that loop would leave it.  Streams already built
+        or drawn take that scalar path; the rest draw in one vectorized
+        pass that reproduces numpy's SeedSequence spawn and PCG64 first
+        step exactly (spawn-key words must fit 32 bits).
+        """
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        out = np.empty(idx.shape[0], dtype=np.float64)
+        if not idx.size:
+            return out
+        if idx.min() < 0 or idx.max() >= self._n:
+            raise IndexError(f"stream indices out of range ({self._n} streams)")
+        if self._offset + int(idx.max()) > _MASK32:
+            raise ValueError("bulk draws need spawn keys below 2**32")
+        gens, drawn = self._gens, self._drawn
+        seen = np.fromiter(
+            (i in gens or i in drawn for i in idx.tolist()), dtype=bool, count=idx.size
+        )
+        fresh = idx[~seen]
+        first = dict.fromkeys(fresh.tolist(), 1)
+        if len(first) != fresh.size:
+            raise ValueError("random_each needs distinct indices")
+        for pos in seen.nonzero()[0].tolist():
+            out[pos] = self[int(idx[pos])].random()
+        if fresh.size:
+            if self._mixed_root is None:
+                self._mixed_root = _root_mix(self._root_seed)
+            keys = (fresh + self._offset).astype(np.uint32)
+            out[~seen] = _pcg64_first_double(*_seed_words(*self._mixed_root, keys))
+            drawn.update(first)
+        return out
 
 
 def spawn_streams(

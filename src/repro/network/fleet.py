@@ -48,7 +48,10 @@ which ``tests/network/test_linkstore_equivalence.py`` enforces.
 Both also share the per-tag association bookkeeping, kept in a
 :class:`TagTable` of parallel arrays so a run's cost follows the tags it
 touches, not ``n_tags``; ``sim.tags[i]`` is a :class:`TagState` view over
-one row, built on first access.
+one row, built on first access.  A beacon writes one time on its reader,
+not one per scheduled tag, and the heartbeat check looks only at tags that
+can have gone silent: orphans of a crashed reader, and the members of a
+reader that has stopped beaconing.
 """
 
 from __future__ import annotations
@@ -111,32 +114,36 @@ class FleetConfig:
     recover_after: int = 3
 
     def __post_init__(self) -> None:
+        # Every float is range-checked with comparisons that NaN fails
+        # (all of them are False for NaN) and that stop short of inf.
         if self.n_readers < 1:
             raise ConfigError("n_readers must be >= 1")
         if self.n_tags < 1:
             raise ConfigError("n_tags must be >= 1")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if self.round_interval_s <= 0:
-            raise ConfigError("round_interval_s must be positive")
-        if self.reader_spacing_m <= 0:
-            raise ConfigError("reader_spacing_m must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigError("duration_s must be positive and finite")
+        if not 0 < self.round_interval_s < math.inf:
+            raise ConfigError("round_interval_s must be positive and finite")
+        if not 0 < self.reader_spacing_m < math.inf:
+            raise ConfigError("reader_spacing_m must be positive and finite")
         if self.heartbeat_miss_threshold < 1:
             raise ConfigError("heartbeat_miss_threshold must be >= 1")
-        if self.reassoc_backoff_base_s <= 0:
-            raise ConfigError("reassoc_backoff_base_s must be positive")
-        if self.reassoc_backoff_factor < 1.0:
-            raise ConfigError("reassoc_backoff_factor must be >= 1")
-        if self.reassoc_backoff_cap_s < self.reassoc_backoff_base_s:
-            raise ConfigError("reassoc_backoff_cap_s must be >= base")
+        if not 0 < self.reassoc_backoff_base_s < math.inf:
+            raise ConfigError("reassoc_backoff_base_s must be positive and finite")
+        if not 1.0 <= self.reassoc_backoff_factor < math.inf:
+            raise ConfigError("reassoc_backoff_factor must be >= 1 and finite")
+        if not self.reassoc_backoff_base_s <= self.reassoc_backoff_cap_s < math.inf:
+            raise ConfigError("reassoc_backoff_cap_s must be >= base and finite")
         if not 0.0 < self.airtime_duty <= 1.0:
             raise ConfigError("airtime_duty must be in (0, 1]")
         if not 0.0 < self.recovering_duty_factor <= 1.0:
             raise ConfigError("recovering_duty_factor must be in (0, 1]")
         if not 0.0 <= self.discovery_budget_frac <= 1.0:
             raise ConfigError("discovery_budget_frac must be in [0, 1]")
-        if self.discovery_cost_s <= 0:
-            raise ConfigError("discovery_cost_s must be positive")
+        if not 0 < self.discovery_cost_s < math.inf:
+            raise ConfigError("discovery_cost_s must be positive and finite")
+        if not math.isfinite(self.overhead_s):
+            raise ConfigError("overhead_s must be finite")
 
     @property
     def span_m(self) -> float:
@@ -176,7 +183,13 @@ class TagState:
     @property
     def last_heard(self) -> float:
         """Last time this tag heard its reader's beacon."""
-        return float(self._table.last_heard[self.tag_id])
+        table = self._table
+        table.take_orphans()
+        heard = float(table.heard_floor[self.tag_id])
+        reader_id = int(table.reader[self.tag_id])
+        if reader_id >= 0 and table.readers[reader_id].is_member(self.tag_id):
+            heard = max(heard, table.readers[reader_id].last_beacon)
+        return heard
 
     @property
     def silent_since(self) -> float | None:
@@ -213,13 +226,22 @@ class TagTable:
     first touch — a million-tag run pays for the rows someone looks at,
     not for a million objects.  ``reader`` is -1 and ``silent_since`` NaN
     where the scalar view reads None.
+
+    A beacon reaches every member of its reader's schedule, so the table
+    stores one time per tag and lets the reader's ``last_beacon`` stand in
+    for the rest: ``heard_floor`` is a member's admission time and every
+    other tag's last heard beacon, and a member has heard the later of the
+    two.  Tags whose reader crashed under them are *orphans* until the
+    heartbeat detaches them; the crash freezes what each one heard.
     """
 
-    def __init__(self, position_m: np.ndarray, link_of, handoff_log: list):
+    def __init__(self, position_m: np.ndarray, link_of, handoff_log: list, readers: list):
         n = position_m.shape[0]
         self.position_m = position_m
         self.reader = np.full(n, -1, dtype=np.int64)
-        self.last_heard = np.zeros(n, dtype=np.float64)
+        #: A member's admission time, any other tag's last heard beacon;
+        #: ``TagState.last_heard`` is the only reading of "last heard".
+        self.heard_floor = np.zeros(n, dtype=np.float64)
         self.silent_since = np.full(n, np.nan, dtype=np.float64)
         self.prev_reader = np.full(n, -1, dtype=np.int64)
         self.reassoc_attempts = np.zeros(n, dtype=np.int64)
@@ -227,6 +249,9 @@ class TagTable:
         #: The simulator's append-only ``(time, tag_id, from, to, latency)``
         #: log (the same list object), indexed by tag on demand.
         self.handoff_log = handoff_log
+        self.readers = readers
+        #: Orphan tag ids, in no particular order.
+        self.orphans = np.empty(0, dtype=np.int64)
         self._link_of = link_of
         self._views: dict[int, TagState] = {}
         self._latencies: dict[int, list[float]] = {}
@@ -249,6 +274,39 @@ class TagTable:
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+    def take_orphans(self) -> None:
+        """Freeze what each member of a crashed schedule heard; orphan them."""
+        for reader in self.readers:
+            for ids, beacon in reader.lost:
+                self.heard_floor[ids] = np.maximum(self.heard_floor[ids], beacon)
+                self.orphans = np.concatenate([self.orphans, ids])
+            reader.lost.clear()
+
+    def silent(self, now: float, deadline: float) -> np.ndarray:
+        """Associated tags that heard nothing for over ``deadline``, by id.
+
+        Only orphans and the members of a reader silent for over
+        ``deadline`` can qualify, since a member has heard at least its
+        reader's last beacon.  The stale rows' ``heard_floor`` is brought
+        up to what they heard, as they are about to leave their schedules.
+        """
+        self.take_orphans()
+        parts = []
+        if self.orphans.size:
+            gone = now - self.heard_floor[self.orphans] > deadline
+            parts.append(self.orphans[gone])
+            self.orphans = self.orphans[~gone]
+        for reader in self.readers:
+            if reader.schedule and now - reader.last_beacon > deadline:
+                ids = reader.schedule_array()
+                heard = np.maximum(self.heard_floor[ids], reader.last_beacon)
+                stale = now - heard > deadline
+                self.heard_floor[ids[stale]] = heard[stale]
+                parts.append(ids[stale])
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts))
 
     def handoff_latencies(self, tag_id: int) -> list[float]:
         """One tag's handoff latencies, in time order (do not mutate)."""
@@ -536,11 +594,10 @@ class FleetSimulator:
         self.frame_log = []
         self.transitions: list[tuple[float, int, str, str]] = []
         self.handoff_log: list[tuple[float, int, int, int, float]] = []
-        # Authoritative association bookkeeping, as arrays: beacons touch
-        # every scheduled tag every round and the heartbeat check scans
-        # every tag (for both engines; this is shared timeline
-        # bookkeeping, not part of the frozen serve path).
-        self.tags = TagTable(positions, link_of, self.handoff_log)
+        # Authoritative association bookkeeping, as arrays (for both
+        # engines; this is shared timeline bookkeeping, not part of the
+        # frozen serve path).
+        self.tags = TagTable(positions, link_of, self.handoff_log, self.readers)
         self._events_processed = 0
         #: Per-reader discovery service cost (a storm can override it).
         self._discovery_cost = [cfg.discovery_cost_s] * cfg.n_readers
@@ -716,9 +773,9 @@ class FleetSimulator:
         budget_s = cfg.airtime_duty * cfg.round_interval_s
         if reader.health is ReaderHealth.RECOVERING:
             budget_s *= cfg.recovering_duty_factor
-        # Beacon: every scheduled tag hears its heartbeat (one fancy-index
-        # store instead of a per-tag attribute walk).
-        self.tags.last_heard[reader.schedule_array()] = now
+        # Beacon: every scheduled tag hears its heartbeat (the tag table
+        # reads it off the reader, so no per-tag write).
+        reader.last_beacon = now
         used = 0.0
         # Discovery backlog first, capped so a storm cannot starve data.
         if reader.pending_discovery:
@@ -818,43 +875,49 @@ class FleetSimulator:
     def _tag_check(self, now: float, queue: EventQueue) -> None:
         """Heartbeat-missed detection, in tag-id order.
 
-        The scan is one vectorized predicate over the tag table (``now -
-        last_heard`` vectorizes elementwise-exact, so the stale set is
-        identical to the per-tag scalar comparison) and the detach writes
-        are array assignments over the stale set; only the schedule drop
-        and the backoff draw stay per stale tag.
+        The stale set comes from the orphans and silent readers only
+        (:meth:`TagTable.silent`); the detach writes are array assignments
+        over it and the whole wave's backoff jitters are one bulk draw, one
+        per tag from its own stream.  Only the schedule drop, the observer
+        count and the push stay per stale tag.
         """
         cfg = self.config
         tags = self.tags
-        deadline = cfg.heartbeat_miss_threshold * cfg.round_interval_s
-        stale = ((tags.reader >= 0) & (now - tags.last_heard > deadline)).nonzero()[0]
+        stale = tags.silent(now, cfg.heartbeat_miss_threshold * cfg.round_interval_s)
         if not stale.size:
             return
         # Reader lost: detach and start re-association.
         lost = tags.reader[stale]
-        tags.silent_since[stale] = tags.last_heard[stale]
+        tags.silent_since[stale] = tags.heard_floor[stale]
         tags.prev_reader[stale] = lost
         tags.reader[stale] = -1
         tags.reassoc_attempts[stale] = 0
         tags.detaches[stale] += 1  # stale ids are distinct
-        for tag_id, reader_id in zip(stale.tolist(), lost.tolist()):  # tag-id order
+        jitter = 0.5 + self._tag_rngs.random_each(stale)  # in [0.5, 1.5)
+        times = (now + self._backoff_s(0) * jitter).tolist()
+        for tag_id, reader_id, t in zip(stale.tolist(), lost.tolist(), times):  # tag-id order
             self.readers[reader_id].drop(tag_id)
             if self.obs.enabled:
                 self.obs.count("network.detach_total")
-            self._schedule_reassoc(tag_id, 0, now, queue)
+            if t <= cfg.duration_s:
+                queue.push(t, "reassoc", tag_id=tag_id)
+
+    def _backoff_s(self, attempts: int) -> float:
+        """Nominal re-association backoff after ``attempts`` failures."""
+        cfg = self.config
+        try:
+            growth = cfg.reassoc_backoff_factor**attempts
+        except OverflowError:  # factor**attempts past the float range
+            return cfg.reassoc_backoff_cap_s
+        return min(cfg.reassoc_backoff_cap_s, cfg.reassoc_backoff_base_s * growth)
 
     def _schedule_reassoc(
         self, tag_id: int, attempts: int, now: float, queue: EventQueue
     ) -> None:
         """Seeded exponential backoff from the tag's own stream."""
-        cfg = self.config
-        nominal = min(
-            cfg.reassoc_backoff_cap_s,
-            cfg.reassoc_backoff_base_s * cfg.reassoc_backoff_factor**attempts,
-        )
         jitter = 0.5 + self._tag_rngs[tag_id].random()  # in [0.5, 1.5)
-        t = now + nominal * jitter
-        if t <= cfg.duration_s:
+        t = now + self._backoff_s(attempts) * jitter
+        if t <= self.config.duration_s:
             queue.push(t, "reassoc", tag_id=tag_id)
 
     def _reassoc_attempt(self, tag_id: int, now: float, queue: EventQueue) -> None:
@@ -882,7 +945,7 @@ class FleetSimulator:
             if reader.admit(tag_id):
                 tags = self.tags
                 tags.reader[tag_id] = reader.reader_id
-                tags.last_heard[tag_id] = now
+                tags.heard_floor[tag_id] = now
                 if not initial:
                     since = float(tags.silent_since[tag_id])
                     latency = now - (now if math.isnan(since) else since)

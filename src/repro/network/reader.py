@@ -22,6 +22,7 @@ gracefully instead of collapsing the schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -67,6 +68,14 @@ class Reader:
     occlusion_db: float = 0.0
     #: Extra per-frame collision probability while schedule is corrupted.
     collision_prob: float = 0.0
+    #: When this reader last beaconed (-inf: never).  Every member of the
+    #: schedule heard it, so one float stands in for a per-tag write.
+    last_beacon: float = -math.inf
+    #: Schedules lost to crashes, each with the last beacon before that
+    #: crash, kept until the fleet's bookkeeping takes them.
+    lost: list[tuple[np.ndarray, float]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------- counters
     frames_served: int = 0
@@ -106,7 +115,12 @@ class Reader:
         self.health = ReaderHealth.DEGRADED if self.impaired else ReaderHealth.HEALTHY
 
     def crash(self) -> None:
-        """Process death: schedule state is lost with the process."""
+        """Process death: schedule state is lost with the process.
+
+        The lost schedule and the last beacon its members heard go to
+        :attr:`lost`, for the fleet to turn those tags into orphans."""
+        if self.schedule:
+            self.lost.append((self.schedule_array(), self.last_beacon))
         self.health = ReaderHealth.DOWN
         self.schedule.clear()
         self._members.clear()
@@ -141,6 +155,10 @@ class Reader:
         self._sched_arr = None
         self.max_queue_depth = max(self.max_queue_depth, len(self.schedule))
         return True
+
+    def is_member(self, tag_id: int) -> bool:
+        """Whether ``tag_id`` is on the schedule (O(1))."""
+        return tag_id in self._members
 
     def drop(self, tag_id: int) -> None:
         """Remove a tag from the schedule (detach / handoff away)."""

@@ -1,4 +1,5 @@
-"""Determinism of the discrete-event core: ordering, ties, stream layout."""
+"""Determinism of the discrete-event core: ordering, ties, stream layout,
+and bulk first draws bit-identical to numpy's own streams."""
 
 from __future__ import annotations
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.core import Event, EventQueue, spawn_streams
+from repro.network.core import (
+    Event,
+    EventQueue,
+    LazyStreams,
+    _root_mix,
+    _seed_words,
+    spawn_streams,
+)
 
 
 class TestEventQueue:
@@ -104,3 +112,88 @@ class TestSpawnStreams:
         assert len(tags) == 5 and len(readers) == 3
         assert isinstance(fault, np.random.Generator)
         assert isinstance(deploy, np.random.Generator)
+
+
+def _numpy_stream(root: int, key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(root, spawn_key=(key,)))
+
+
+#: Roots across every entropy length: one word, the 4-word pool, beyond it.
+ROOTS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**200]),
+    st.integers(0, 2**200),
+)
+KEYS = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=24, unique=True,
+)
+
+
+class TestBulkFirstDraws:
+    """``LazyStreams.random_each`` against numpy itself."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(root=ROOTS, keys=KEYS)
+    def test_seed_words_match_generate_state(self, root, keys):
+        got = np.stack(_seed_words(*_root_mix(root), np.asarray(keys, dtype=np.uint32)), axis=1)
+        want = np.stack(
+            [np.random.SeedSequence(root, spawn_key=(k,)).generate_state(4, np.uint64)
+             for k in keys]
+        )
+        assert np.array_equal(got, want)
+
+    @settings(deadline=None, max_examples=80)
+    @given(root=ROOTS, keys=KEYS, data=st.data())
+    def test_bulk_equals_scalar_draws(self, root, keys, data):
+        """Distinct indices, each stream fresh, built with draws taken, or
+        drawn in bulk before: the bulk draw equals ``[streams[i].random()
+        for i in indices]``, fresh streams build no generator, and every
+        stream then continues exactly as numpy's."""
+        offset = data.draw(st.integers(0, min(keys)), label="offset")
+        n = 2**32 - offset
+        indices = [k - offset for k in keys]
+        priors = data.draw(
+            st.lists(st.sampled_from(["fresh", 1, 2, "bulk"]),
+                     min_size=len(keys), max_size=len(keys)),
+            label="priors",
+        )
+        streams = LazyStreams(root, offset, n)
+        refs = []
+        for index, prior in zip(indices, priors):
+            ref = _numpy_stream(root, offset + index)
+            if prior == "bulk":
+                assert streams.random_each([index])[0] == ref.random()
+            elif prior != "fresh":
+                for _ in range(prior):
+                    assert streams[index].random() == ref.random()
+            refs.append(ref)
+        got = streams.random_each(np.asarray(indices))
+        assert got.dtype == np.float64
+        assert got.tolist() == [ref.random() for ref in refs]
+        # Streams seen before took the scalar path, which builds them.
+        for index, prior in zip(indices, priors):
+            assert (index in streams._gens) == (prior != "fresh")
+        for index, ref in zip(indices, refs):
+            assert [streams[index].random() for _ in range(3)] == [
+                ref.random() for _ in range(3)
+            ]
+
+    def test_fresh_streams_stay_unbuilt(self):
+        streams = LazyStreams(7, 0, 5000)
+        u = streams.random_each(np.arange(0, 5000, 2))
+        assert not streams._gens and len(streams._drawn) == 2500
+        assert u[3] == _numpy_stream(7, 6).random()
+        streams[6].random()
+        assert list(streams._gens) == [6] and 6 not in streams._drawn
+
+    def test_empty_and_invalid_indices(self):
+        streams = LazyStreams(1, 0, 10)
+        assert streams.random_each([]).shape == (0,)
+        with pytest.raises(IndexError):
+            streams.random_each([10])
+        with pytest.raises(IndexError):
+            streams.random_each([-1])
+        with pytest.raises(ValueError, match="distinct"):
+            streams.random_each([3, 3])
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            LazyStreams(1, 2**32, 4).random_each([0])

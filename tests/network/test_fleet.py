@@ -7,6 +7,9 @@ bit-identical results for a fixed root seed — with and without metrics.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -20,6 +23,9 @@ from repro.network import FleetConfig, FleetResult, FleetSimulator, ReaderHealth
 from repro.obs import Observer
 
 SEED = 7
+
+#: Every float-valued ``FleetConfig`` field.
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(FleetConfig) if isinstance(f.default, float)]
 
 
 def run_fleet(scenario: str | None = None, seed: int = SEED, **cfg) -> FleetResult:
@@ -47,6 +53,15 @@ class TestBaseline:
             FleetConfig(airtime_duty=0.0)
         with pytest.raises(ConfigError):
             FleetConfig(reassoc_backoff_cap_s=0.01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            FleetConfig(**{name: value})
+
+    def test_float_fields_cover_timing_and_backoff(self):
+        assert {"duration_s", "round_interval_s", "reassoc_backoff_cap_s"} <= set(FLOAT_FIELDS)
 
     def test_fault_plan_must_fit_fleet(self):
         plan = NetworkFaultPlan([ReaderCrash(reader_id=5, at_s=1.0)])
@@ -117,6 +132,39 @@ class TestCrashAcceptance:
         assert tag.link.snapshot() == before
         # Latency anchors at the last heard beacon (t=0 here: no rounds ran).
         assert tag.handoffs == 1 and tag.handoff_latencies == [12.0]
+
+
+class TestBackoff:
+    SHED = dict(n_readers=1, n_tags=20, queue_capacity=16)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [None, NetworkFaultPlan([ReaderCrash(reader_id=0, at_s=100.0, outage_s=50.0)])],
+        ids=["shed", "crash_restart"],
+    )
+    def test_shed_tags_retry_past_the_float_range(self, plan):
+        """Four shed tags retry forever: past 1,024 failures
+        ``factor**attempts`` leaves the float range and the backoff stays
+        at its cap, and the first 1000 s match a run that ends there."""
+        long = FleetSimulator(FleetConfig(duration_s=3000.0, **self.SHED), fault_plan=plan).run()
+        short = FleetSimulator(FleetConfig(duration_s=1000.0, **self.SHED), fault_plan=plan).run()
+        assert long.tags.reassoc_attempts.max() > 1024
+        assert [h for h in long.handoff_log if h[0] <= 1000.0] == short.handoff_log
+        assert [t for t in long.transitions if t[0] <= 1000.0] == short.transitions
+
+    def test_backoff_below_overflow_is_unchanged(self):
+        cfg = FleetConfig(
+            reassoc_backoff_base_s=1e-300, reassoc_backoff_factor=2.0, reassoc_backoff_cap_s=1e300
+        )
+        sim = FleetSimulator(cfg)
+        for attempts in range(1024):
+            assert sim._backoff_s(attempts) == min(
+                cfg.reassoc_backoff_cap_s,
+                cfg.reassoc_backoff_base_s * cfg.reassoc_backoff_factor**attempts,
+            )
+        assert sim._backoff_s(1023) < cfg.reassoc_backoff_cap_s
+        for attempts in (1024, 1025, 10**6):
+            assert sim._backoff_s(attempts) == cfg.reassoc_backoff_cap_s
 
 
 class TestTagTable:
