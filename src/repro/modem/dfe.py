@@ -20,24 +20,29 @@ by :class:`repro.modem.dfe_reference.ReferenceDFEDemodulator`, which it must
 match bit-exactly (enforced by ``tests/golden`` and the hypothesis
 equivalence suite).  Four rewrites carry the speedup:
 
-* **Dense reference bank** — per (channel, group), every reference pulse
-  lives in one ``(S, m, W)`` ndarray indexed by the packed quantized history
-  (:meth:`ReferenceBank.dense_split`), so fetching all candidate pulses for
-  all branches is one fancy-index gather instead of K Python dict lookups.
-* **Broadcasted extension** — all K branches × P level pairs are scored in a
-  single ``(K, m, m, ts)`` cost update, evaluating ``(base - pulse_i) -
-  pulse_q`` in exactly the reference's operation order.
+* **Dense reference bank** — every reference pulse lives in dense float
+  planes indexed by (channel, group, plane, level, packed quantized history)
+  (:meth:`ReferenceBank.dense_planes`, built with array ops per bank), so
+  fetching all candidate pulses for all branches is one gather instead of K
+  Python dict lookups.
+* **Broadcasted extension** — all K branches × P level pairs are scored by
+  level-major broadcasts over ``(2, m, m, B, K, ts)`` real/imag planes,
+  evaluating ``(base - pulse_i) - pulse_q`` in exactly the reference's
+  operation order and summing each contiguous ts-long row with numpy's
+  pairwise reduce, as the reference does.
 * **Packed-key merging** — a branch's future-relevant state (the last
   ``merge_memory`` level pairs) is carried as base-``m²`` digits packed into
-  one or more int64 words; merge dedup is a sort-based first-occurrence scan
-  over small integer group ids on the cost-ordered candidate prefix instead
-  of a Python loop over byte strings.
+  one or more int64 words; merge dedup keys small integer group ids on the
+  cost-ordered candidate prefix: a per-packet scan at small batch sizes, a
+  sort-based first-occurrence scan at large ones, instead of a Python loop
+  over byte strings.
 * **Block decoding** — :meth:`DFEDemodulator.demodulate_block` walks ``B``
   independent packets in lockstep, so every per-symbol numpy call amortizes
   over the whole batch.  Row-wise stable sorts and per-row pairwise sums are
   identical to the single-packet path, so a block decode is bit-exact with
   ``B`` separate :meth:`demodulate` calls (a property the equivalence suite
-  asserts).  ``demodulate`` itself is the ``B = 1`` special case.
+  asserts).  ``demodulate`` itself is the ``B = 1`` special case, which
+  keeps its per-symbol step to a few dozen array calls.
 
 Two structural properties ride on top of the same arithmetic:
 
@@ -62,6 +67,7 @@ gate) fall back to per-unique-history gathers through
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,38 +188,32 @@ class DFEDemodulator:
     def _advance_known(self, xp, state: dict, gi: int, level_i: int, level_q: int) -> None:
         """Deterministically apply a known symbol (no scoring, no branching).
 
-        The prediction buffer lives as separate real/imag float planes
-        (``buf_re``/``buf_im``); complex addition is componentwise, so
-        plane-wise updates are bit-identical to the reference's complex adds.
+        The prediction buffer lives as real/imag float planes (``buf`` is
+        ``(2, B, k, W)``); complex addition is componentwise, so plane-wise
+        updates are bit-identical to the reference's complex adds.
         """
         cfg = self.config
         ts = cfg.samples_per_slot
         w = cfg.samples_per_symbol
         m = self._m
-        buf_re = state["buf_re"]
-        buf_im = state["buf_im"]
+        buf = state["buf"]
         codes = state["codes"]
+        if self._dense:
+            heads, tails = (xp.asarray(p) for p in self.bank.dense_planes(ts))
         for channel, level in ((0, level_i), (1, level_q)):
-            ch_codes = codes[:, :, channel, gi]
+            ch_codes = codes[channel, gi]
             if self._dense:
-                head_re, head_im, tail_re, tail_im = (
-                    xp.asarray(p) for p in self.bank.dense_split_planes(channel, gi, ts)
-                )
-                buf_re[:, :, :ts] += head_re[ch_codes, level]
-                buf_im[:, :, :ts] += head_im[ch_codes, level]
-                buf_re[:, :, ts:] += tail_re[ch_codes, level]
-                buf_im[:, :, ts:] += tail_im[ch_codes, level]
+                buf[..., :ts] += heads[channel, gi][:, level, ch_codes]
+                buf[..., ts:] += tails[channel, gi][:, ch_codes, level]
             else:
                 stacks = self._sparse_stacks(xp, channel, gi, ch_codes)
-                buf_re += stacks[:, :, level].real
-                buf_im += stacks[:, :, level].imag
+                buf[0] += stacks[:, :, level].real
+                buf[1] += stacks[:, :, level].imag
             if self._v_prev:
-                codes[:, :, channel, gi] = level + (ch_codes % self._hist_mod) * m
+                codes[channel, gi] = level + (ch_codes % self._hist_mod) * m
         # Consume one slot: shift the prediction window.
-        buf_re[:, :, : w - ts] = buf_re[:, :, ts:]
-        buf_im[:, :, : w - ts] = buf_im[:, :, ts:]
-        buf_re[:, :, w - ts :] = 0.0
-        buf_im[:, :, w - ts :] = 0.0
+        buf[..., : w - ts] = buf[..., ts:]
+        buf[..., w - ts :] = 0.0
         if state["sig"] is not None:
             flat = state["sig"].reshape(-1, self._key_words)
             self._shift_in_pair(xp, flat, level_i * m + level_q, out=flat)
@@ -355,6 +355,11 @@ class DFEBlockSession:
     before it is scored, so the decode is bit-exact with the whole-buffer
     path for every chunking.  :meth:`finish` runs the traceback.
 
+    Float state is held as real/imaginary *planes* on a leading axis of
+    length 2 (``buf`` is ``(2, B, k, W)``), so one ufunc call updates both
+    parts of a complex quantity; history codes are ``(2, L, B, k)``
+    (channel, group, packet, branch).
+
     The active array backend (:mod:`repro.utils.backend`) is captured at
     construction; all per-symbol kernels dispatch through its ``xp``
     namespace.
@@ -383,9 +388,8 @@ class DFEBlockSession:
         merging = demod.merge and demod.merge_memory > 0
         w = self._w
         state = {
-            "buf_re": xp.zeros((n_packets, 1, w), dtype=xp.float64),
-            "buf_im": xp.zeros((n_packets, 1, w), dtype=xp.float64),
-            "codes": xp.zeros((n_packets, 1, 2, self._dsm_order), dtype=xp.int64),
+            "buf": xp.zeros((2, n_packets, 1, w), dtype=xp.float64),
+            "codes": xp.zeros((2, self._dsm_order, n_packets, 1), dtype=xp.int64),
             "sig": (
                 xp.zeros((n_packets, 1, demod._key_words), dtype=xp.int64) if merging else None
             ),
@@ -407,72 +411,73 @@ class DFEBlockSession:
             for n in range(self._dsm_order):
                 demod._advance_known(xp, state, n, 0, 0)
 
-        self.buf_re = state["buf_re"]
-        self.buf_im = state["buf_im"]
+        self.buf = state["buf"]
         self.codes = state["codes"]
         self.sig = state["sig"]
         self.costs = xp.zeros((n_packets, 1), dtype=float)
-        self._b_idx = xp.arange(n_packets)
-        self._b_col = self._b_idx[:, None]
+        self._b_col = xp.arange(n_packets)[:, None]
+        # Flat (packet, branch) row of branch 0 of every packet at full width.
+        self._row_base = self._b_col * demod.k_branches
 
         dense = demod._dense
         ts = self._ts
         wt = self._wt
         dsm_order = self._dsm_order
         m = demod._m
+        # Decomposition of every candidate index ``c = branch * m² + pair``
+        # (``pair = a * m + b``): rows branch, pair, a and b.
+        cand = xp.arange(demod.k_branches * m * m)
+        pair = cand % (m * m)
+        self._cand_table = xp.stack((cand // (m * m), pair, pair // m, pair % m))
         if dense:
-            self._planes = [
-                [
-                    tuple(xp.asarray(p) for p in demod.bank.dense_split_planes(ch, gi, ts))
-                    for gi in range(dsm_order)
-                ]
+            heads, tails = (xp.asarray(p) for p in demod.bank.dense_planes(ts))
+            n_rows = demod.bank.n_history_states * m
+            # Per (channel, group): level-major heads (2, m, S, ts), tails
+            # (2, S, m, wt), and the tails as (2, S*m, wt) rows addressed by
+            # ``code * m + level``.
+            self._heads = [[heads[ch, gi] for gi in range(dsm_order)] for ch in (0, 1)]
+            self._tails = [[tails[ch, gi] for gi in range(dsm_order)] for ch in (0, 1)]
+            self._tail_rows = [
+                [tails[ch, gi].reshape(2, n_rows, wt) for gi in range(dsm_order)]
                 for ch in (0, 1)
             ]
-            # Flat (code*m + level, wt) row views of every tail table: the
-            # lag fold below addresses them with per-branch row indices.
-            self._tails2d = (
-                [
-                    [
-                        (
-                            self._planes[ch][gi][2].reshape(-1, wt),
-                            self._planes[ch][gi][3].reshape(-1, wt),
-                        )
-                        for gi in range(dsm_order)
-                    ]
-                    for ch in (0, 1)
-                ]
-                if wt
-                else None
-            )
         else:
-            self._planes = None
-            self._tails2d = None
-        # Chain strategy: the broadcast cost update's inner SIMD runs are only
-        # ``ts`` samples long (the level axes force strided operands), so for
-        # big batches a per-(a, b) loop over fully contiguous (B, K, ts)
-        # slabs is faster despite m² extra dispatches.  For small batches the
-        # dispatch overhead dominates and the broadcast form wins.
-        self._loop_chain = dense and m * m <= 64 and n_packets >= 16
+            self._heads = self._tails = self._tail_rows = None
+        # Two beam regimes, split at B = 16.  Small batches (every production
+        # receive and every streamed capture is B = 1) keep the prediction
+        # buffer materialised and update it in place: one level-major
+        # broadcast scores all extensions, and the merge scans each packet's
+        # cost-ordered candidates in Python.  Big batches switch to the
+        # ancestry-indexed "lag fold" below and a vectorized sort-based
+        # merge, whose extra ufunc dispatches amortize over the batch.
+        self._block = n_packets >= 16
+        self._use_lag = dense and self._block
+        # Chain strategy (lag regime): the broadcast cost update's inner
+        # loops are ``B * K * ts`` long, but for big batches a per-(a, b)
+        # loop over fully contiguous (B, K, ts) slabs is faster still,
+        # despite m² extra dispatches.
+        self._loop_chain = self._use_lag and m * m <= 64
         if self._loop_chain:
-            self._planes_t = [
-                [
-                    tuple(
-                        xp.asarray(p)
-                        for p in demod.bank.dense_split_head_planes_t(ch, gi, ts)
-                    )
-                    for gi in range(dsm_order)
-                ]
+            self._heads_t = [
+                [tuple(self._heads[ch][gi]) for gi in range(dsm_order)] for ch in (0, 1)
+            ]
+        # Flat (code*m + level, wt) row views of every tail table: the lag
+        # fold below addresses them with per-branch row indices.
+        self._tails2d = (
+            [
+                [tuple(self._tail_rows[ch][gi]) for gi in range(dsm_order)]
                 for ch in (0, 1)
             ]
-        else:
-            self._planes_t = None
+            if self._use_lag and wt
+            else None
+        )
         # Steady-state scratch: once the beam is at full width every per-symbol
-        # tensor has a fixed shape, so all intermediates are written into
+        # tensor has a fixed shape, so intermediates are written into
         # preallocated buffers (np.empty of a few hundred KB per symbol is
         # mmap + page faults, which dominates the arithmetic otherwise).
         self._scratch: dict | None = None
 
-        # Ancestry-indexed prediction state ("lag fold", fast path only).
+        # Ancestry-indexed prediction state ("lag fold", big batches only).
         # While the beam sits at full width the (B, K, w) prediction buffers
         # are never materialised: the first slot of every branch's prediction
         # is re-folded on demand from (a) the buffer captured the moment the
@@ -482,17 +487,14 @@ class DFEBlockSession:
         # row-index arrays that survive reselection by gathering.  The fold
         # replays the reference's left-to-right chronological add order
         # exactly, so it is bit-identical to reading the materialised buffer.
-        # Like ``loop_chain`` it only pays for big batches: at small B the
-        # ~6L extra ufunc dispatches per symbol outweigh the saved traffic,
-        # so small batches keep the in-place buffer update instead.
-        self._use_lag = dense and n_packets >= 16
         self._lag_entries: list | None = None
         self._carry_re2 = self._carry_im2 = self._carry_flat = None
         self._carry_age = 0
 
+        # Traceback record: per symbol, each survivor's parent branch and
+        # fired level pair (``a * m + b``), both (B, k_new).
         self.parents: list = []
-        self.choices_a: list = []
-        self.choices_b: list = []
+        self.choices: list = []
 
         self._track_obs = demod._obs.enabled
         self._occ_sum = 0
@@ -500,8 +502,7 @@ class DFEBlockSession:
 
         # Unconsumed sample planes (the chunk-boundary re-join buffer) and
         # the fed-chunk log backing the defensive row-by-row fallback.
-        self._rem_re = None
-        self._rem_im = None
+        self._rem = None
         self._fed: list = []
         self._fallback_rows = False
         self._finished = False
@@ -521,7 +522,7 @@ class DFEBlockSession:
     @property
     def pending_samples(self) -> int:
         """Buffered samples not yet consumed by a whole slot."""
-        return 0 if self._rem_re is None else int(self._rem_re.shape[1])
+        return 0 if self._rem is None else int(self._rem.shape[2])
 
     # ---------------------------------------------------------------- feed
 
@@ -543,29 +544,237 @@ class DFEBlockSession:
         self._fed.append(z)
         if self._fallback_rows:
             return self
-        # Contiguous real/imag planes of the received chunk: complex add/sub
-        # is componentwise, so the plane-wise pipeline below is bit-identical
-        # to the reference's complex arithmetic while keeping every inner
-        # loop contiguous float64.
-        re = xp.ascontiguousarray(z.real)
-        im = xp.ascontiguousarray(z.imag)
-        if self._rem_re is not None and self._rem_re.shape[1]:
-            re = xp.concatenate([self._rem_re, re], axis=1)
-            im = xp.concatenate([self._rem_im, im], axis=1)
+        # Contiguous (2, B, n) real/imag planes of the received chunk: complex
+        # add/sub is componentwise, so the plane-wise pipeline below is
+        # bit-identical to the reference's complex arithmetic while keeping
+        # every inner loop contiguous float64.
+        zz = xp.stack((z.real, z.imag))
+        if self._rem is not None and self._rem.shape[2]:
+            zz = xp.concatenate([self._rem, zz], axis=2)
         ts = self._ts
         off = 0
-        avail = re.shape[1]
+        avail = zz.shape[2]
         while avail - off >= ts and self._n < self.n_symbols and not self._fallback_rows:
-            self._step(re[:, None, off : off + ts], im[:, None, off : off + ts])
+            self._step(zz[:, :, None, off : off + ts])
             off += ts
-        self._rem_re = re[:, off:]
-        self._rem_im = im[:, off:]
+        self._rem = zz[:, :, off:]
         return self
 
     # ---------------------------------------------------------------- step
 
-    def _step(self, zv_re, zv_im) -> None:
-        """Score one slot's extensions and reselect the beam (one symbol)."""
+    def _make_scratch(self) -> dict:
+        """Preallocated full-width buffers of this session's regime."""
+        xp = self._xp
+        n_packets = self.n_packets
+        kk = self._demod.k_branches
+        m = self._demod._m
+        ts = self._ts
+        scratch = {"base": xp.empty((2, n_packets, kk, ts))}
+        if self._use_lag:
+            scratch.update(
+                {
+                    "acc": xp.empty((2, n_packets, kk, ts)),
+                    "tmp_re": xp.empty((n_packets, kk, ts)),
+                    "tmp_im": xp.empty((n_packets, kk, ts)),
+                }
+            )
+        else:
+            scratch.update(
+                {
+                    "rows": xp.empty((n_packets, kk), dtype=xp.int64),
+                    "tidx": xp.empty((2, n_packets, kk), dtype=xp.int64),
+                    "parents": xp.empty((2, n_packets * kk, self._w)),
+                    "tail_i": xp.empty((2, n_packets * kk, self._wt)),
+                    "tail_q": xp.empty((2, n_packets * kk, self._wt)),
+                }
+            )
+        if self._loop_chain:
+            scratch.update(
+                {
+                    "piT_re": xp.empty((m, n_packets, kk, ts)),
+                    "piT_im": xp.empty((m, n_packets, kk, ts)),
+                    "pqT_re": xp.empty((m, n_packets, kk, ts)),
+                    "pqT_im": xp.empty((m, n_packets, kk, ts)),
+                    "pa_re": xp.empty((n_packets, kk, ts)),
+                    "pa_im": xp.empty((n_packets, kk, ts)),
+                    "db_re": xp.empty((n_packets, kk, ts)),
+                    "db_im": xp.empty((n_packets, kk, ts)),
+                    "inc": xp.empty((n_packets, kk, m, m)),
+                }
+            )
+        else:
+            scratch.update(
+                {
+                    "pulses_i": xp.empty((2, m, n_packets, kk, ts)),
+                    "pulses_q": xp.empty((2, m, n_packets, kk, ts)),
+                    "part": xp.empty((2, m, n_packets, kk, ts)),
+                    "d": xp.empty((2, m, m, n_packets, kk, ts)),
+                    "sq": xp.empty((m, m, n_packets, kk, ts)),
+                    "inc_t": xp.empty((m, m, n_packets, kk)),
+                    "tot": xp.empty((n_packets, kk, m, m)),
+                }
+            )
+        return scratch
+
+    def _extension_costs(self, base, pulses_i, pulses_q, scratch) -> np.ndarray:
+        """Path costs ``(B, k * m * m)`` of every one-symbol extension.
+
+        ``base`` is the ``(2, B, k, ts)`` residual of the current slot
+        against each branch's prediction; ``pulses_i``/``pulses_q`` are the
+        ``(2, m, B, k, ts)`` first-slot pulses of every candidate I/Q level,
+        level-major, so each broadcast below runs 2·m² (or 2·m) long
+        contiguous inner loops.  The arithmetic is the reference's:
+        ``(base - p_i) - p_q`` per plane, ``re² + im²``, then a last-axis
+        ``add.reduce`` over each contiguous ts-long row (numpy's pairwise
+        sum, whose bits depend on the row length and contiguity).
+        ``scratch`` holds the steady-state output buffers, or is None to
+        allocate.
+        """
+        xp = self._xp
+        s = scratch if scratch is not None else {}
+        part = xp.subtract(base[:, None], pulses_i, out=s.get("part"))
+        d = xp.subtract(part[:, :, None], pulses_q[:, None], out=s.get("d"))
+        xp.multiply(d, d, out=d)
+        sq = xp.add(d[0], d[1], out=s.get("sq"))
+        inc = xp.add.reduce(sq, axis=-1, out=s.get("inc_t"))
+        tot = xp.add(self.costs[:, :, None, None], inc.transpose(2, 3, 0, 1), out=s.get("tot"))
+        return tot.reshape(self.n_packets, -1)
+
+    def _select(self, flat, chunk0: int):
+        """The first ``chunk0`` columns of a per-row stable argsort of ``flat``.
+
+        Returns ``(prefix, order)``: the ``(B, chunk0)`` cost-ordered
+        candidate prefix and, when it had to be computed, the full stable
+        argsort (else None).  Selection only ever consumes a prefix, so a
+        full stable argsort is overkill: argpartition isolates the cheapest
+        ``chunk0`` per packet, sorted back into candidate-index order so a
+        small stable sort orders them with ties broken by index, exactly as
+        the reference's argsort.  That is exact whenever the isolated set is
+        unambiguous: no candidate outside it ties the largest cost inside.
+        One count checks every row at once — each row has at most
+        ``n_cand - chunk0`` costs above its edge, and exactly that many iff
+        its prefix is unambiguous.  A NaN inside a prefix makes the edge
+        NaN, above which nothing counts, and a NaN outside it is not
+        counted either, so NaN costs fall back to the full stable argsort
+        and come out last in index order, as in the reference.
+        """
+        xp = self._xp
+        n_packets, n_cand = flat.shape
+        if n_cand > chunk0:
+            b_col = self._b_col
+            idxp = flat.argpartition(chunk0 - 1, axis=-1)[:, :chunk0]
+            idxp.sort(axis=-1)
+            valsp = flat[b_col, idxp]
+            v_edge = valsp.max(axis=-1, keepdims=True)
+            if xp.count_nonzero(flat > v_edge) == n_packets * (n_cand - chunk0):
+                return idxp[b_col, valsp.argsort(axis=-1, kind="stable")], None
+        order = flat.argsort(axis=-1, kind="stable")
+        return order[:, :chunk0], order
+
+    def _merge_scan(self, flat, prefix, order):
+        """Small-batch merge: each packet's first K distinct keys, by scan.
+
+        A candidate's merge key is its branch's group id and its fired pair
+        (``gid * m² + pair``).  Scanning a packet's cost-ordered candidates
+        for the first K distinct keys costs a few Python set operations per
+        candidate at B = 1; the prefix widens to every candidate in the rare
+        case it holds fewer than K distinct keys.  Returns ``(ord_sel,
+        new_sig)`` or None when packets ended with different beam widths.
+        With one key word the key *is* the successor's packed window (see
+        :meth:`DFEDemodulator._group_ids`), so no shift is needed.
+        """
+        xp = self._xp
+        demod = self._demod
+        mm = demod._m * demod._m
+        k_target = demod.k_branches
+        gids = demod._group_ids(xp, self.sig).tolist()
+        picks = [_scan_row(row, gids[b], mm, k_target) for b, row in enumerate(prefix.tolist())]
+        if prefix.shape[1] < flat.shape[1] and any(len(p) < k_target for p in picks):
+            order = order if order is not None else flat.argsort(axis=-1, kind="stable")
+            picks = [_scan_row(row, gids[b], mm, k_target) for b, row in enumerate(order.tolist())]
+        k_new = len(picks[0])
+        if any(len(p) != k_new for p in picks):
+            return None
+        flat_picks = [c for p in picks for c in p.values()] + [key for p in picks for key in p]
+        ord_sel, keys = xp.array(flat_picks, dtype=xp.int64).reshape(2, self.n_packets, k_new)
+        if demod._key_words == 1:
+            return ord_sel, keys[:, :, None]
+        k_sel, pair_sel = xp.divmod(ord_sel, mm)
+        new_sig = demod._shift_in_pair(
+            xp, self.sig[self._b_col, k_sel].reshape(-1, demod._key_words), pair_sel.ravel()
+        ).reshape(self.n_packets, k_new, demod._key_words)
+        return ord_sel, new_sig
+
+    def _merge_sorted(self, flat, prefix, order, chunk0: int):
+        """Big-batch merge: dedup each packet's cost-ordered prefix on
+        (group id, fired pair) keys with a sort-based first-occurrence scan;
+        widen the prefix in the rare case K distinct keys need more of it.
+        Same contract as :meth:`_merge_scan`."""
+        xp = self._xp
+        demod = self._demod
+        mm = demod._m * demod._m
+        k_target = demod.k_branches
+        n_packets = self.n_packets
+        n_cand = flat.shape[1]
+        b_col = self._b_col
+        gid = demod._group_ids(xp, self.sig)
+        chunk = chunk0
+        ord_c = prefix
+        while True:
+            cand_k, cand_pair = xp.divmod(ord_c, mm)
+            keys = gid[b_col, cand_k] * mm + cand_pair
+            perm = xp.argsort(keys, axis=-1, kind="stable")
+            sk = keys[b_col, perm]
+            flag = xp.empty(sk.shape, dtype=bool)
+            flag[:, 0] = True
+            xp.not_equal(sk[:, 1:], sk[:, :-1], out=flag[:, 1:])
+            # Stable sort => first element of each equal-key run is
+            # its minimum (cheapest) original position.
+            mask = xp.empty(sk.shape, dtype=bool)
+            mask[b_col, perm] = flag
+            csum = xp.cumsum(mask, axis=-1)
+            counts = csum[:, -1]
+            c_min = int(counts.min())
+            if c_min >= k_target or chunk == n_cand:
+                break
+            chunk = min(n_cand, chunk * 4)
+            if order is None:
+                order = xp.argsort(flat, axis=-1, kind="stable")
+            ord_c = order[:, :chunk]
+        k_new = min(k_target, c_min)
+        if c_min < k_target and int(counts.max()) != c_min:
+            return None
+        sel_mask = mask & (csum <= k_new)
+        pos = xp.nonzero(sel_mask)[1].reshape(n_packets, k_new)
+        new_sig = demod._shift_in_pair(
+            xp,
+            self.sig[b_col, cand_k[b_col, pos]].reshape(-1, demod._key_words),
+            cand_pair[b_col, pos].ravel(),
+        ).reshape(n_packets, k_new, demod._key_words)
+        return ord_c[b_col, pos], new_sig
+
+    def _shift_history(self, new_codes, gi: int, ab) -> None:
+        """Shift the fired ``(2, B, k)`` I/Q levels ``ab`` into group
+        ``gi``'s history codes.
+
+        ``new_codes`` is ``(2, L, B, k)`` holding the parents' codes; with
+        V = 1 there is no history to keep.
+        """
+        demod = self._demod
+        if not demod._v_prev:
+            return
+        hist_mod = demod._hist_mod
+        if hist_mod == 1:
+            # (code % 1) * m == 0: the new code is just the level.
+            new_codes[:, gi] = ab
+        else:
+            new_codes[:, gi] = ab + (new_codes[:, gi] % hist_mod) * demod._m
+
+    def _step(self, zv) -> None:
+        """Score one slot's extensions and reselect the beam (one symbol).
+
+        ``zv`` is the slot's ``(2, B, 1, ts)`` real/imaginary sample planes.
+        """
         xp = self._xp
         demod = self._demod
         n = self._n
@@ -577,21 +786,10 @@ class DFEBlockSession:
         dsm_order = self._dsm_order
         n_packets = self.n_packets
         k_target = demod.k_branches
-        hist_mod = demod._hist_mod
-        hist_update = demod._v_prev > 0
-        key_words = demod._key_words
         dense = demod._dense
-        merging = self._merging
         b_col = self._b_col
-        buf_re = self.buf_re
-        buf_im = self.buf_im
+        buf = self.buf
         codes = self.codes
-        sig = self.sig
-        costs = self.costs
-        planes = self._planes
-        tails2d = self._tails2d
-        loop_chain = self._loop_chain
-        use_lag = self._use_lag
         scratch = self._scratch
         lag_entries = self._lag_entries
         carry_re2 = self._carry_re2
@@ -600,83 +798,27 @@ class DFEBlockSession:
         carry_age = self._carry_age
 
         gi = n % dsm_order
-        k_now = codes.shape[1]
+        k_now = codes.shape[-1]
         if self._track_obs:
             self._occ_sum += k_now
             if k_now > self._occ_peak:
                 self._occ_peak = k_now
         n_cand = k_now * mm
-        codes_i = codes[:, :, 0, gi]
-        codes_q = codes[:, :, 1, gi]
+        codes_i = codes[0, gi]
+        codes_q = codes[1, gi]
         fast = dense and k_now == k_target
-        if fast and use_lag and lag_entries is None:
+        if fast and self._use_lag and lag_entries is None:
             lag_entries = []
-            carry_re2 = xp.ascontiguousarray(buf_re).reshape(-1, w)
-            carry_im2 = xp.ascontiguousarray(buf_im).reshape(-1, w)
+            carry_re2 = xp.ascontiguousarray(buf[0]).reshape(-1, w)
+            carry_im2 = xp.ascontiguousarray(buf[1]).reshape(-1, w)
             carry_flat = (b_col * k_now + xp.arange(k_now)).ravel()
             carry_age = 0
         if fast and scratch is None:
-            kk = k_target
-            scratch = {
-                "base_re": xp.empty((n_packets, kk, ts)),
-                "base_im": xp.empty((n_packets, kk, ts)),
-                "inc": xp.empty((n_packets, kk, m, m)),
-            }
-            if use_lag:
-                scratch.update(
-                    {
-                        "acc_re": xp.empty((n_packets, kk, ts)),
-                        "acc_im": xp.empty((n_packets, kk, ts)),
-                        "tmp_re": xp.empty((n_packets, kk, ts)),
-                        "tmp_im": xp.empty((n_packets, kk, ts)),
-                    }
-                )
-            else:
-                scratch.update(
-                    {
-                        "pb_re": xp.empty((n_packets, kk, w)),
-                        "pb_im": xp.empty((n_packets, kk, w)),
-                        "tg_re": xp.empty((n_packets, kk, wt)),
-                        "tg_im": xp.empty((n_packets, kk, wt)),
-                    }
-                )
-            if loop_chain:
-                scratch.update(
-                    {
-                        "piT_re": xp.empty((m, n_packets, kk, ts)),
-                        "piT_im": xp.empty((m, n_packets, kk, ts)),
-                        "pqT_re": xp.empty((m, n_packets, kk, ts)),
-                        "pqT_im": xp.empty((m, n_packets, kk, ts)),
-                        "pa_re": xp.empty((n_packets, kk, ts)),
-                        "pa_im": xp.empty((n_packets, kk, ts)),
-                        "db_re": xp.empty((n_packets, kk, ts)),
-                        "db_im": xp.empty((n_packets, kk, ts)),
-                    }
-                )
-            else:
-                scratch.update(
-                    {
-                        "pi_re": xp.empty((n_packets, kk, m, ts)),
-                        "pi_im": xp.empty((n_packets, kk, m, ts)),
-                        "pq_re": xp.empty((n_packets, kk, m, ts)),
-                        "pq_im": xp.empty((n_packets, kk, m, ts)),
-                        "part_re": xp.empty((n_packets, kk, m, ts)),
-                        "part_im": xp.empty((n_packets, kk, m, ts)),
-                        "d_re": xp.empty((n_packets, kk, m, m, ts)),
-                        "d_im": xp.empty((n_packets, kk, m, m, ts)),
-                    }
-                )
-            self._scratch = scratch
+            scratch = self._scratch = self._make_scratch()
+        s = scratch if fast else None
 
-        # Broadcasted cost update over all B packets x K branches x m x m
-        # extensions, in the reference's exact operation order:
-        # (base - p_i) - p_q, evaluated per plane.  The fast path is the
-        # same arithmetic routed through the preallocated scratch
-        # (x**2 == multiply(x, x); in-place ufuncs change no values).
-        if fast:
-            s = scratch
-            hi_re, hi_im, ti_re, ti_im = planes[0][gi]
-            hq_re, hq_im, tq_re, tq_im = planes[1][gi]
+        # Residual of the current slot against every branch's prediction.
+        if lag_entries is not None:
             # First-slot fold: carry slice first, then (oldest symbol
             # first) each lagged symbol's I tail followed by its Q tail —
             # the reference's exact per-element add chain.  Once the
@@ -684,211 +826,125 @@ class DFEBlockSession:
             # instead of the reference's 0.0 + x; that can only flip the
             # sign of a zero, and the residual is squared before any
             # value leaves the kernel, so costs are unchanged bit-wise.
-            if lag_entries is not None:
-                acc_re, acc_im = s["acc_re"], s["acc_im"]
-                a2r = acc_re.reshape(-1, ts)
-                a2i = acc_im.reshape(-1, ts)
-                t2r = s["tmp_re"].reshape(-1, ts)
-                t2i = s["tmp_im"].reshape(-1, ts)
-                take, add = xp.take, xp.add
-                begun = False
-                if carry_age < dsm_order:
-                    off = carry_age * ts
-                    take(
-                        carry_re2[:, off : off + ts], carry_flat, axis=0, out=a2r, mode="clip"
-                    )
-                    take(
-                        carry_im2[:, off : off + ts], carry_flat, axis=0, out=a2i, mode="clip"
-                    )
-                    begun = True
-                for j in range(len(lag_entries) - 1, -1, -1):
-                    fi_j, fq_j, g_j = lag_entries[j]
-                    lo = j * ts
-                    sl = slice(lo, lo + ts)
-                    ti2r, ti2i = tails2d[0][g_j]
-                    tq2r, tq2i = tails2d[1][g_j]
-                    if begun:
-                        take(ti2r[:, sl], fi_j, axis=0, out=t2r, mode="clip")
-                        take(ti2i[:, sl], fi_j, axis=0, out=t2i, mode="clip")
-                        add(a2r, t2r, out=a2r)
-                        add(a2i, t2i, out=a2i)
-                    else:
-                        take(ti2r[:, sl], fi_j, axis=0, out=a2r, mode="clip")
-                        take(ti2i[:, sl], fi_j, axis=0, out=a2i, mode="clip")
-                        begun = True
-                    take(tq2r[:, sl], fq_j, axis=0, out=t2r, mode="clip")
-                    take(tq2i[:, sl], fq_j, axis=0, out=t2i, mode="clip")
+            acc = s["acc"]
+            a2r = acc[0].reshape(-1, ts)
+            a2i = acc[1].reshape(-1, ts)
+            t2r = s["tmp_re"].reshape(-1, ts)
+            t2i = s["tmp_im"].reshape(-1, ts)
+            take, add = xp.take, xp.add
+            tails2d = self._tails2d
+            begun = False
+            if carry_age < dsm_order:
+                off = carry_age * ts
+                take(carry_re2[:, off : off + ts], carry_flat, axis=0, out=a2r, mode="clip")
+                take(carry_im2[:, off : off + ts], carry_flat, axis=0, out=a2i, mode="clip")
+                begun = True
+            for j in range(len(lag_entries) - 1, -1, -1):
+                fi_j, fq_j, g_j = lag_entries[j]
+                lo = j * ts
+                sl = slice(lo, lo + ts)
+                ti2r, ti2i = tails2d[0][g_j]
+                tq2r, tq2i = tails2d[1][g_j]
+                if begun:
+                    take(ti2r[:, sl], fi_j, axis=0, out=t2r, mode="clip")
+                    take(ti2i[:, sl], fi_j, axis=0, out=t2i, mode="clip")
                     add(a2r, t2r, out=a2r)
                     add(a2i, t2i, out=a2i)
-                if not begun:
-                    acc_re.fill(0.0)
-                    acc_im.fill(0.0)
-                base_re = xp.subtract(zv_re, acc_re, out=s["base_re"])
-                base_im = xp.subtract(zv_im, acc_im, out=s["base_im"])
-            else:
-                base_re = xp.subtract(zv_re, buf_re[:, :, :ts], out=s["base_re"])
-                base_im = xp.subtract(zv_im, buf_im[:, :, :ts], out=s["base_im"])
-            if loop_chain:
-                # Level-major gathers: fixing (a, b) yields contiguous
-                # (B, K, ts) slabs, so every inner op below is one long
-                # SIMD run instead of m² short strided ones.  Same values
-                # and the same per-row pairwise sum as the broadcast form
-                # (xp.sum delegates to xp.add.reduce; ufuncs are bound to
-                # locals because this loop issues ~6m² dispatches).
-                hiT_re, hiT_im = self._planes_t[0][gi]
-                hqT_re, hqT_im = self._planes_t[1][gi]
-                piT_re = hiT_re.take(codes_i, axis=1, mode="clip", out=s["piT_re"])
-                piT_im = hiT_im.take(codes_i, axis=1, mode="clip", out=s["piT_im"])
-                pqT_re = hqT_re.take(codes_q, axis=1, mode="clip", out=s["pqT_re"])
-                pqT_im = hqT_im.take(codes_q, axis=1, mode="clip", out=s["pqT_im"])
-                inc = s["inc"]
-                pa_re, pa_im = s["pa_re"], s["pa_im"]
-                db_re, db_im = s["db_re"], s["db_im"]
-                sub, mul, add = xp.subtract, xp.multiply, xp.add
-                reduce_add = xp.add.reduce
-                pq_rows = [(pqT_re[b2], pqT_im[b2]) for b2 in range(m)]
-                inc_rows = inc.reshape(n_packets, k_now, mm)
-                for a in range(m):
-                    sub(base_re, piT_re[a], out=pa_re)
-                    sub(base_im, piT_im[a], out=pa_im)
-                    am = a * m
-                    for b2 in range(m):
-                        qr, qi = pq_rows[b2]
-                        sub(pa_re, qr, out=db_re)
-                        sub(pa_im, qi, out=db_im)
-                        mul(db_re, db_re, out=db_re)
-                        mul(db_im, db_im, out=db_im)
-                        add(db_re, db_im, out=db_re)
-                        reduce_add(db_re, axis=-1, out=inc_rows[:, :, am + b2])
-            else:
-                pi_re = xp.take(hi_re, codes_i, axis=0, mode="clip", out=s["pi_re"])
-                pi_im = xp.take(hi_im, codes_i, axis=0, mode="clip", out=s["pi_im"])
-                pq_re = xp.take(hq_re, codes_q, axis=0, mode="clip", out=s["pq_re"])
-                pq_im = xp.take(hq_im, codes_q, axis=0, mode="clip", out=s["pq_im"])
-                part_re = xp.subtract(base_re[:, :, None, :], pi_re, out=s["part_re"])
-                part_im = xp.subtract(base_im[:, :, None, :], pi_im, out=s["part_im"])
-                d_re = xp.subtract(
-                    part_re[:, :, :, None, :], pq_re[:, :, None, :, :], out=s["d_re"]
-                )
-                d_im = xp.subtract(
-                    part_im[:, :, :, None, :], pq_im[:, :, None, :, :], out=s["d_im"]
-                )
-                xp.multiply(d_re, d_re, out=d_re)
-                xp.multiply(d_im, d_im, out=d_im)
-                xp.add(d_re, d_im, out=d_re)
-                inc = xp.sum(d_re, axis=-1, out=s["inc"])
+                else:
+                    take(ti2r[:, sl], fi_j, axis=0, out=a2r, mode="clip")
+                    take(ti2i[:, sl], fi_j, axis=0, out=a2i, mode="clip")
+                    begun = True
+                take(tq2r[:, sl], fq_j, axis=0, out=t2r, mode="clip")
+                take(tq2i[:, sl], fq_j, axis=0, out=t2i, mode="clip")
+                add(a2r, t2r, out=a2r)
+                add(a2i, t2i, out=a2i)
+            if not begun:
+                acc.fill(0.0)
+            base = xp.subtract(zv, acc, out=s["base"])
+        else:
+            base = xp.subtract(zv, buf[..., :ts], out=None if s is None else s["base"])
+
+        # Cost of every extension (B x K branches x m x m level pairs), in
+        # the reference's exact operation order: (base - p_i) - p_q, per
+        # plane (x**2 == multiply(x, x); in-place ufuncs change no values).
+        if fast and self._loop_chain:
+            # Level-major gathers: fixing (a, b) yields contiguous
+            # (B, K, ts) slabs, so every inner op below is one long
+            # SIMD run.  Same values and the same per-row pairwise sum as
+            # the broadcast form (ufuncs are bound to locals because this
+            # loop issues ~6m² dispatches).
+            base_re, base_im = base[0], base[1]
+            hiT_re, hiT_im = self._heads_t[0][gi]
+            hqT_re, hqT_im = self._heads_t[1][gi]
+            piT_re = hiT_re.take(codes_i, axis=1, mode="clip", out=s["piT_re"])
+            piT_im = hiT_im.take(codes_i, axis=1, mode="clip", out=s["piT_im"])
+            pqT_re = hqT_re.take(codes_q, axis=1, mode="clip", out=s["pqT_re"])
+            pqT_im = hqT_im.take(codes_q, axis=1, mode="clip", out=s["pqT_im"])
+            inc = s["inc"]
+            pa_re, pa_im = s["pa_re"], s["pa_im"]
+            db_re, db_im = s["db_re"], s["db_im"]
+            sub, mul, add = xp.subtract, xp.multiply, xp.add
+            reduce_add = xp.add.reduce
+            pq_rows = [(pqT_re[b2], pqT_im[b2]) for b2 in range(m)]
+            inc_rows = inc.reshape(n_packets, k_now, mm)
+            for a in range(m):
+                sub(base_re, piT_re[a], out=pa_re)
+                sub(base_im, piT_im[a], out=pa_im)
+                am = a * m
+                for b2 in range(m):
+                    qr, qi = pq_rows[b2]
+                    sub(pa_re, qr, out=db_re)
+                    sub(pa_im, qi, out=db_im)
+                    mul(db_re, db_re, out=db_re)
+                    mul(db_im, db_im, out=db_im)
+                    add(db_re, db_im, out=db_re)
+                    reduce_add(db_re, axis=-1, out=inc_rows[:, :, am + b2])
+            xp.add(self.costs[:, :, None, None], inc, out=inc)
+            flat = inc.reshape(n_packets, n_cand)
         else:
             if dense:
-                hi_re, hi_im, ti_re, ti_im = planes[0][gi]
-                hq_re, hq_im, tq_re, tq_im = planes[1][gi]
-                pi_re = hi_re[codes_i]
-                pi_im = hi_im[codes_i]
-                pq_re = hq_re[codes_q]
-                pq_im = hq_im[codes_q]
+                out_i = None if s is None else s["pulses_i"]
+                out_q = None if s is None else s["pulses_q"]
+                pulses_i = self._heads[0][gi].take(codes_i, axis=2, mode="clip", out=out_i)
+                pulses_q = self._heads[1][gi].take(codes_q, axis=2, mode="clip", out=out_q)
             else:
-                stacks_i = self._demod._sparse_stacks(xp, 0, gi, codes_i)
-                stacks_q = self._demod._sparse_stacks(xp, 1, gi, codes_q)
-                pi_re = xp.ascontiguousarray(stacks_i.real[..., :ts])
-                pi_im = xp.ascontiguousarray(stacks_i.imag[..., :ts])
-                pq_re = xp.ascontiguousarray(stacks_q.real[..., :ts])
-                pq_im = xp.ascontiguousarray(stacks_q.imag[..., :ts])
-            base_re = zv_re - buf_re[:, :, :ts]
-            base_im = zv_im - buf_im[:, :, :ts]
-            part_re = base_re[:, :, None, :] - pi_re
-            part_im = base_im[:, :, None, :] - pi_im
-            d_re = part_re[:, :, :, None, :] - pq_re[:, :, None, :, :]
-            d_im = part_im[:, :, :, None, :] - pq_im[:, :, None, :, :]
-            inc = xp.sum(d_re**2 + d_im**2, axis=-1)
-        xp.add(costs[:, :, None, None], inc, out=inc)
-        flat = inc.reshape(n_packets, n_cand)
+                stacks_i = demod._sparse_stacks(xp, 0, gi, codes_i)
+                stacks_q = demod._sparse_stacks(xp, 1, gi, codes_q)
+                pulses_i = xp.stack((stacks_i.real, stacks_i.imag))[..., :ts]
+                pulses_q = xp.stack((stacks_q.real, stacks_q.imag))[..., :ts]
+                pulses_i = pulses_i.transpose(0, 3, 1, 2, 4)
+                pulses_q = pulses_q.transpose(0, 3, 1, 2, 4)
+            flat = self._extension_costs(base, pulses_i, pulses_q, s)
 
-        # Selection only ever consumes a cost-ordered *prefix* of the
-        # candidates, so a full (B, n_cand) stable argsort is overkill:
-        # argpartition isolates the cheapest `chunk0` per packet and a
-        # small stable sort orders them.  Stability (ties broken by
-        # candidate index) is what the reference's argsort guarantees, so
-        # any tie that argpartition could mis-handle — a tie at the
-        # partition boundary, or any tie inside the prefix — falls back
-        # to exact machinery (lexsort on (value, index), or the full
-        # stable argsort).  With continuous-noise costs ties essentially
-        # never occur, so the fast path is the steady state.
         chunk0 = min(n_cand, max(4 * k_target, 64))
-        order = None
-        prefix = None
-        if n_cand > chunk0:
-            idxp = xp.argpartition(flat, chunk0 - 1, axis=-1)[:, :chunk0]
-            valsp = flat[b_col, idxp]
-            v_edge = valsp.max(axis=-1)
-            n_full = xp.count_nonzero(flat == v_edge[:, None], axis=-1)
-            n_part = xp.count_nonzero(valsp == v_edge[:, None], axis=-1)
-            if xp.array_equal(n_full, n_part):
-                perm0 = xp.argsort(valsp, axis=-1, kind="stable")
-                sv = valsp[b_col, perm0]
-                if (sv[:, 1:] == sv[:, :-1]).any():
-                    perm0 = xp.lexsort((idxp, valsp), axis=-1)
-                prefix = idxp[b_col, perm0]
-        if prefix is None:
-            order = xp.argsort(flat, axis=-1, kind="stable")
-            prefix = order[:, :chunk0]
-
-        if merging:
-            # Dedup each packet's cost-ordered candidate prefix on
-            # (group id, fired pair) keys; widen the prefix in the rare
-            # case K distinct keys need more of it.
-            gid = self._demod._group_ids(xp, sig)
-            chunk = chunk0
-            ord_c = prefix
-            while True:
-                cand_k, cand_pair = xp.divmod(ord_c, mm)
-                keys = gid[b_col, cand_k] * mm + cand_pair
-                perm = xp.argsort(keys, axis=-1, kind="stable")
-                sk = keys[b_col, perm]
-                flag = xp.empty(sk.shape, dtype=bool)
-                flag[:, 0] = True
-                xp.not_equal(sk[:, 1:], sk[:, :-1], out=flag[:, 1:])
-                # Stable sort => first element of each equal-key run is
-                # its minimum (cheapest) original position.
-                mask = xp.empty(sk.shape, dtype=bool)
-                mask[b_col, perm] = flag
-                csum = xp.cumsum(mask, axis=-1)
-                counts = csum[:, -1]
-                c_min = int(counts.min())
-                if c_min >= k_target or chunk == n_cand:
-                    break
-                chunk = min(n_cand, chunk * 4)
-                if order is None:
-                    order = xp.argsort(flat, axis=-1, kind="stable")
-                ord_c = order[:, :chunk]
-            k_new = min(k_target, c_min)
-            if c_min < k_target and int(counts.max()) != c_min:
+        prefix, order = self._select(flat, chunk0)
+        if not self._merging:
+            ord_sel = prefix[:, : min(k_target, n_cand)]
+            new_sig = None
+        else:
+            picked = (
+                self._merge_sorted(flat, prefix, order, chunk0)
+                if self._block
+                else self._merge_scan(flat, prefix, order)
+            )
+            if picked is None:
                 # Packets primed identically grow their beams through the
-                # same deterministic state sets, so distinct-key counts
-                # can only differ once every packet already has >= K.
+                # same deterministic state sets, so distinct-key counts can
+                # only differ once every packet already has >= K.
                 # Defensive fallback: decode rows independently (deferred
                 # to finish(), which replays the fed sample log).
                 self._fallback_rows = True
                 return
-            sel_mask = mask & (csum <= k_new)
-            pos = xp.nonzero(sel_mask)[1].reshape(n_packets, k_new)
-            ord_sel = ord_c[b_col, pos]
-            k_sel = cand_k[b_col, pos]
-            pair_sel = cand_pair[b_col, pos]
-            new_sig = self._demod._shift_in_pair(
-                xp, sig[b_col, k_sel].reshape(-1, key_words), pair_sel.ravel()
-            ).reshape(n_packets, k_new, key_words)
-        else:
-            k_new = min(k_target, n_cand)
-            ord_sel = prefix[:, :k_new]
-            k_sel, pair_sel = xp.divmod(ord_sel, mm)
-            new_sig = None
-        a_sel, b_sel = xp.divmod(pair_sel, m)
+            ord_sel, new_sig = picked
+        k_new = ord_sel.shape[1]
+        # Survivors' parent branch, fired pair, and I/Q levels (2, B, k_new).
+        fields = self._cand_table.take(ord_sel, axis=1)
+        k_sel, pair_sel, ab = fields[0], fields[1], fields[2:]
+        a_sel, b_sel = ab
 
         self.parents.append(k_sel)
-        self.choices_a.append(a_sel)
-        self.choices_b.append(b_sel)
+        self.choices.append(pair_sel)
 
-        sel_codes_i = codes_i[b_col, k_sel]
-        sel_codes_q = codes_q[b_col, k_sel]
         if fast and k_new == k_target and lag_entries is not None:
             # Index-only successor update: no (B, K, w) buffer moves.
             # Surviving per-symbol index arrays are re-aligned to the new
@@ -905,58 +961,50 @@ class DFEBlockSession:
                 for fi_j, fq_j, g_j in lag_entries
             ]
             if wt:
-                flat_i = (sel_codes_i * m + a_sel).ravel()
-                flat_q = (sel_codes_q * m + b_sel).ravel()
+                flat_i = (codes_i[b_col, k_sel] * m + a_sel).ravel()
+                flat_q = (codes_q[b_col, k_sel] * m + b_sel).ravel()
                 lag_entries.insert(0, (flat_i, flat_q, gi))
             if carry_age < dsm_order:
                 carry_flat = carry_flat.reshape(n_packets, k_now)[b_col, k_sel].ravel()
             carry_age += 1
+            new_codes = codes[:, :, b_col, k_sel]
         elif fast and k_new == k_target:
-            # Small-batch in-place successor update: parents gathered
-            # into scratch, the new prediction written back over the (now
-            # consumed) current buffer, (buf + tail_i) + tail_q as the
-            # reference.
+            # Small-batch in-place successor update, on flat (packet,
+            # branch) rows: the parents' buffers are gathered, and the new
+            # prediction (buf + tail_i) + tail_q, as the reference, is
+            # written back over the (now consumed) current buffer.  Its
+            # last slot needs no write: it is zero after every step.
+            rows = xp.add(k_sel, self._row_base, out=s["rows"]).reshape(-1)
+            new_codes = codes.reshape(2, dsm_order, -1).take(rows, axis=2)
+            new_codes = new_codes.reshape(codes.shape)
             if wt:
-                s = scratch
-                flat_par = (b_col * k_now + k_sel).ravel()
-                pb_re = xp.take(
-                    buf_re.reshape(-1, w), flat_par, axis=0, mode="clip",
-                    out=s["pb_re"].reshape(-1, w),
-                ).reshape(n_packets, k_new, w)
-                pb_im = xp.take(
-                    buf_im.reshape(-1, w), flat_par, axis=0, mode="clip",
-                    out=s["pb_im"].reshape(-1, w),
-                ).reshape(n_packets, k_new, w)
-                view_re = buf_re[:, :, :wt]
-                view_im = buf_im[:, :, :wt]
-                tg_re = s["tg_re"].reshape(-1, wt)
-                tg_im = s["tg_im"].reshape(-1, wt)
-                flat_i = (sel_codes_i * m + a_sel).ravel()
-                flat_q = (sel_codes_q * m + b_sel).ravel()
-                xp.take(ti_re.reshape(-1, wt), flat_i, axis=0, mode="clip", out=tg_re)
-                xp.take(ti_im.reshape(-1, wt), flat_i, axis=0, mode="clip", out=tg_im)
-                xp.add(pb_re[:, :, ts:], s["tg_re"], out=view_re)
-                xp.add(pb_im[:, :, ts:], s["tg_im"], out=view_im)
-                xp.take(tq_re.reshape(-1, wt), flat_q, axis=0, mode="clip", out=tg_re)
-                xp.take(tq_im.reshape(-1, wt), flat_q, axis=0, mode="clip", out=tg_im)
-                view_re += s["tg_re"]
-                view_im += s["tg_im"]
-            buf_re[:, :, wt:] = 0.0
-            buf_im[:, :, wt:] = 0.0
+                tidx = xp.multiply(new_codes[:, gi], m, out=s["tidx"])
+                tidx += ab
+                flat_buf = buf.reshape(2, -1, w)
+                parents = flat_buf.take(rows, axis=1, mode="clip", out=s["parents"])
+                tail_i = self._tail_rows[0][gi].take(
+                    tidx[0].reshape(-1), axis=1, mode="clip", out=s["tail_i"]
+                )
+                tail_q = self._tail_rows[1][gi].take(
+                    tidx[1].reshape(-1), axis=1, mode="clip", out=s["tail_q"]
+                )
+                view = flat_buf[:, :, :wt]
+                xp.add(parents[:, :, ts:], tail_i, out=view)
+                xp.add(view, tail_q, out=view)
         else:
             if lag_entries is not None:
                 # Leaving the index-only regime (beam narrowed below K):
                 # materialise the full parent buffers once, in the same
                 # chronological fold order as the first-slot fold above,
                 # then fall through to the allocating update.
-                full_re = xp.zeros((n_packets, k_now, w), dtype=xp.float64)
-                full_im = xp.zeros((n_packets, k_now, w), dtype=xp.float64)
-                f2r = full_re.reshape(-1, w)
-                f2i = full_im.reshape(-1, w)
+                full = xp.zeros((2, n_packets, k_now, w), dtype=xp.float64)
+                f2r = full[0].reshape(-1, w)
+                f2i = full[1].reshape(-1, w)
                 if carry_age < dsm_order:
                     off = carry_age * ts
                     f2r[:, : w - off] = carry_re2[:, off:][carry_flat]
                     f2i[:, : w - off] = carry_im2[:, off:][carry_flat]
+                tails2d = self._tails2d
                 for j in range(len(lag_entries) - 1, -1, -1):
                     fi_j, fq_j, g_j = lag_entries[j]
                     lo = j * ts
@@ -966,43 +1014,32 @@ class DFEBlockSession:
                     f2i[:, : wt - lo] += ti2i[:, lo:][fi_j]
                     f2r[:, : wt - lo] += tq2r[:, lo:][fq_j]
                     f2i[:, : wt - lo] += tq2i[:, lo:][fq_j]
-                buf_re, buf_im = full_re, full_im
+                buf = full
                 lag_entries = None
                 carry_re2 = carry_im2 = carry_flat = None
-            new_re = xp.empty((n_packets, k_new, w), dtype=xp.float64)
-            new_im = xp.empty((n_packets, k_new, w), dtype=xp.float64)
-            view_re = new_re[:, :, : w - ts]
-            view_im = new_im[:, :, : w - ts]
+            # Allocating update (beam growth or narrowing, sparse banks).
+            new = xp.empty((2, n_packets, k_new, w), dtype=xp.float64)
+            view = new[..., :wt]
             if dense:
-                xp.add(buf_re[b_col, k_sel, ts:], ti_re[sel_codes_i, a_sel], out=view_re)
-                xp.add(buf_im[b_col, k_sel, ts:], ti_im[sel_codes_i, a_sel], out=view_im)
-                view_re += tq_re[sel_codes_q, b_sel]
-                view_im += tq_im[sel_codes_q, b_sel]
+                tails_i = self._tails[0][gi][:, codes_i[b_col, k_sel], a_sel]
+                tails_q = self._tails[1][gi][:, codes_q[b_col, k_sel], b_sel]
+                xp.add(buf[:, b_col, k_sel, ts:], tails_i, out=view)
+                view += tails_q
             else:
                 tails_i = stacks_i[b_col, k_sel, a_sel, ts:]
                 tails_q = stacks_q[b_col, k_sel, b_sel, ts:]
-                xp.add(buf_re[b_col, k_sel, ts:], tails_i.real, out=view_re)
-                xp.add(buf_im[b_col, k_sel, ts:], tails_i.imag, out=view_im)
-                view_re += tails_q.real
-                view_im += tails_q.imag
-            new_re[:, :, w - ts :] = 0.0
-            new_im[:, :, w - ts :] = 0.0
-            buf_re = new_re
-            buf_im = new_im
-        new_codes = codes[b_col, k_sel]
-        if hist_update:
-            if hist_mod == 1:
-                # (code % 1) * m == 0: the new code is just the level.
-                new_codes[:, :, 0, gi] = a_sel
-                new_codes[:, :, 1, gi] = b_sel
-            else:
-                new_codes[:, :, 0, gi] = a_sel + (sel_codes_i % hist_mod) * m
-                new_codes[:, :, 1, gi] = b_sel + (sel_codes_q % hist_mod) * m
+                xp.add(buf[0][b_col, k_sel, ts:], tails_i.real, out=view[0])
+                xp.add(buf[1][b_col, k_sel, ts:], tails_i.imag, out=view[1])
+                view[0] += tails_q.real
+                view[1] += tails_q.imag
+            new[..., wt:] = 0.0
+            buf = new
+            new_codes = codes[:, :, b_col, k_sel]
+        self._shift_history(new_codes, gi, ab)
         self.costs = flat[b_col, ord_sel]
         self.codes = new_codes
         self.sig = new_sig
-        self.buf_re = buf_re
-        self.buf_im = buf_im
+        self.buf = buf
         self._lag_entries = lag_entries
         self._carry_re2 = carry_re2
         self._carry_im2 = carry_im2
@@ -1046,15 +1083,8 @@ class DFEBlockSession:
             mets.gauge("dfe.branch_occupancy_peak", self._occ_peak)
 
         costs = self.costs
-        b_idx = self._b_idx
         best = xp.argmin(costs, axis=1)
-        levels_i = xp.empty((n_packets, n_symbols), dtype=int)
-        levels_q = xp.empty((n_packets, n_symbols), dtype=int)
-        k = best
-        for n in range(n_symbols - 1, -1, -1):
-            levels_i[:, n] = self.choices_a[n][b_idx, k]
-            levels_q[:, n] = self.choices_b[n][b_idx, k]
-            k = self.parents[n][b_idx, k]
+        levels_i, levels_q = xp.divmod(self._traceback(best), demod._m)
         denom = max(n_symbols * self._ts, 1)
         results = [
             DFEResult(
@@ -1069,3 +1099,41 @@ class DFEBlockSession:
             for r in results:
                 obs.observe("dfe.winner_mse", r.mse)
         return results
+
+    def _traceback(self, best):
+        """``(B, n_symbols)`` fired level pairs along each packet's path to
+        its ``best`` final branch.
+
+        The per-symbol parent and choice arrays are joined once into one
+        row per packet and walked as plain lists — no per-symbol gathers.
+        """
+        xp = self._xp
+        n_symbols = self.n_symbols
+        if not n_symbols:
+            return xp.zeros((self.n_packets, 0), dtype=xp.int64)
+        starts = list(itertools.accumulate((p.shape[1] for p in self.parents), initial=0))
+        parents = xp.concatenate(self.parents, axis=1).tolist()
+        choices = xp.concatenate(self.choices, axis=1).tolist()
+        path = [[0] * n_symbols for _ in range(self.n_packets)]
+        for b, k in enumerate(best.tolist()):
+            par, cho, row = parents[b], choices[b], path[b]
+            for n in range(n_symbols - 1, -1, -1):
+                j = starts[n] + k
+                row[n] = cho[j]
+                k = par[j]
+        return xp.asarray(path, dtype=xp.int64)
+
+
+def _scan_row(cands: list, gids: list, mm: int, k: int) -> dict:
+    """The first ``k`` candidates of a cost-ordered row with distinct merge
+    keys ``gids[c // mm] * mm + c % mm`` (all of them when there are fewer),
+    as an insertion-ordered ``{key: candidate}``."""
+    picked = {}
+    for c in cands:
+        branch, pair = divmod(c, mm)
+        key = gids[branch] * mm + pair
+        if key not in picked:
+            picked[key] = c
+            if len(picked) == k:
+                break
+    return picked

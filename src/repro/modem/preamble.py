@@ -165,11 +165,16 @@ class Preamble:
         so the cost is *slice-local*: any buffer containing those samples —
         a streaming prefix, the full capture — yields the identical float.
         That locality is what lets the streaming receiver's incremental
-        coarse scan reproduce :meth:`detect`'s scan bit-for-bit.
+        coarse scan reproduce :meth:`detect`'s scan bit-for-bit.  A slice
+        holding a non-finite sample (channel damage) cannot be fitted; it
+        costs ``+inf``, so it is never the minimum.
         """
         y, skip, ref_power = matched if matched is not None else self.matched_reference()
         lo = offset + skip
-        _, res_power = self._solve_regression(np.asarray(x[lo : lo + y.size], dtype=complex), y)
+        window = np.asarray(x[lo : lo + y.size], dtype=complex)
+        if not np.isfinite(window).all():
+            return np.inf
+        _, res_power = self._solve_regression(window, y)
         return res_power / ref_power
 
     def detect(
@@ -211,10 +216,17 @@ class Preamble:
         if search_start > stop:
             raise ValueError("empty search range")
         stride = coarse_stride or self.default_coarse_stride
+        # Windows with a non-finite sample cost +inf, as in offset_cost; one
+        # pass over every sample the search can read spares an intact
+        # capture the per-window checks.
+        intact = bool(np.isfinite(x[search_start + skip : stop + skip + k]).all())
 
-        def cost_at(offset: int) -> tuple[RotationCorrector, float]:
+        def cost_at(offset: int) -> tuple[RotationCorrector | None, float]:
             lo = offset + skip
-            corrector, res_power = self._solve_regression(x[lo : lo + k], y)
+            window = x[lo : lo + k]
+            if not intact and not np.isfinite(window).all():
+                return None, np.inf
+            corrector, res_power = self._solve_regression(window, y)
             return corrector, res_power / ref_power
 
         if coarse_offset is not None:
@@ -233,6 +245,16 @@ class Preamble:
             if cost < best[0]:
                 best = (cost, off, corrector)
         cost, offset, corrector = best
+        if corrector is None:
+            # No candidate window could be fitted: report a miss with an
+            # identity placeholder corrector rather than fail.
+            return PreambleDetection(
+                offset=offset,
+                corrector=RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j),
+                normalised_cost=float("inf"),
+                snr_db=float("-inf"),
+                detected=False,
+            )
         fitted = corrector.apply(x[offset + skip : offset + skip + k])
         snr = estimate_snr_db(y, fitted - y)
         return PreambleDetection(

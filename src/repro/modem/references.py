@@ -17,6 +17,7 @@ Offline training produces the unit tables (or KL bases, see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,31 @@ def assemble_waveform(
                 hi = min(start + w, out.size)
                 out[lo:hi] += pulse[lo - start : hi - start]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _context_plan(m: int, tail_memory: int, n_bits: int) -> np.ndarray:
+    """``(S, m, n_bits)`` firing context of every pixel, per history code and level.
+
+    :meth:`ReferenceBank._pixel_context` evaluated for every packed history
+    code (:meth:`ReferenceBank.history_code`) and fired level at once; the
+    gather plan :meth:`ReferenceBank.dense_table` composes pulses through.
+    One plan per operating point, shared by every bank.
+    """
+    v_prev = max(tail_memory - 1, 0)
+    codes = np.arange(m**v_prev)
+    # Oldest-first level sequence ending at the current firing:
+    # seq[..., i] = hist[v_prev - 1 - i], with hist most recent first.
+    seq = np.empty((codes.size, m, v_prev + 1), dtype=np.int64)
+    for i in range(v_prev):
+        seq[:, :, i] = ((codes // m ** (v_prev - 1 - i)) % m)[:, None]
+    seq[:, :, v_prev] = np.arange(m)
+    bits = (seq[..., None] >> (n_bits - 1 - np.arange(n_bits))) & 1
+    plan = np.zeros((codes.size, m, n_bits), dtype=np.int64)
+    for i in range(v_prev + 1):
+        plan = (plan << 1) | bits[:, :, i, :]
+    plan.flags.writeable = False
+    return plan
 
 
 @dataclass
@@ -266,8 +292,8 @@ class ReferenceBank:
         """Pack a most-recent-first level history into a dense-table index.
 
         ``code = sum_j prev_levels[j] * m**j`` over the first ``V - 1``
-        entries (missing history counts as level 0) — the row index into
-        :meth:`dense_split` tables.
+        entries (missing history counts as level 0) — the ``code`` index of
+        :meth:`dense_table` and :meth:`dense_planes`.
         """
         m = self.config.levels_per_axis
         v_prev = max(self.config.tail_memory - 1, 0)
@@ -277,87 +303,70 @@ class ReferenceBank:
             code += level * m**j
         return code
 
-    def dense_split(self, channel: int, index: int, split: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense reference table of one group, split at sample ``split``.
+    def dense_table(self) -> np.ndarray:
+        """Every group's reference pulses as one dense complex table.
 
-        Returns ``(head, tail)`` with shapes ``(S, m, split)`` and
-        ``(S, m, W - split)`` where ``S = m**(V-1)`` indexes the quantized
-        firing history (packed per :meth:`history_code`) and the second axis
-        the candidate level.  ``head`` is the portion a candidate firing
-        contributes to the *current* slot (the cost update), ``tail`` the
-        prediction it pushes into future slots.  Rows are exactly
-        :meth:`pulse_stack` outputs, so gathering from these tables is
-        bit-identical to per-branch lookups.  Built once per bank (cached,
-        invalidated with the pulse cache on :meth:`set_coefficients`).
+        Returns a ``(2, L, S, m, W)`` array indexed ``[channel, group, code,
+        level]``, where ``S = m**(V-1)`` packed history codes (see
+        :meth:`history_code`).  Entry ``[ch, gi, code, level]`` is byte-equal
+        to :meth:`pulse` for that firing: each group's table is built with
+        array ops over every (history, level) at once through a cached
+        context plan, composed in :meth:`pulse`'s elementwise order (start
+        from zeros, add ``weight * chunk`` one pixel at a time, then scale by
+        ``coef * basis``).  Not cached; :meth:`dense_planes` caches the
+        demodulator's view of it.
         """
-        cache_key = (channel, index, "dense", split)
-        cached = self._pulse_cache.get(cache_key)
-        if cached is not None:
-            return cached
         cfg = self.config
         m = cfg.levels_per_axis
-        v_prev = max(cfg.tail_memory - 1, 0)
-        s_states = self.n_history_states
+        n_ctx = 1 << cfg.tail_memory
         w = cfg.samples_per_symbol
-        head = np.empty((s_states, m, split), dtype=complex)
-        tail = np.empty((s_states, m, w - split), dtype=complex)
-        for code in range(s_states):
-            hist = tuple((code // m**j) % m for j in range(v_prev))
-            stack = self.pulse_stack(channel, index, hist)
-            head[code] = stack[:, :split]
-            tail[code] = stack[:, split:]
-        self._pulse_cache[cache_key] = (head, tail)
-        return head, tail
+        table = np.empty((2, cfg.dsm_order, self.n_history_states, m, w), dtype=complex)
+        for group in self._groups.values():
+            n_bits = len(group.area_fracs)
+            plan = _context_plan(m, cfg.tail_memory, n_bits)
+            stacked: dict[int, np.ndarray] = {}
+            total = np.zeros(plan.shape[:2] + (w,), dtype=complex)
+            for pixel in range(n_bits):
+                unit = group.unit_tables[pixel]
+                chunks = stacked.get(id(unit))
+                if chunks is None:
+                    chunks = np.array([unit.chunks[c] for c in range(n_ctx)], dtype=complex)
+                    stacked[id(unit)] = chunks
+                total = total + group.pixel_weight(pixel) * chunks[plan[:, :, pixel]]
+            np.multiply(group.coef * group.basis, total, out=table[group.channel, group.index])
+        return table
 
-    def dense_split_planes(
-        self, channel: int, index: int, split: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`dense_split` as contiguous float planes.
+    def dense_planes(self, split: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`dense_table` split at sample ``split``, as float planes.
 
-        Returns ``(head_re, head_im, tail_re, tail_im)`` — the same tables
-        with real and imaginary parts stored as separate contiguous float64
-        arrays.  Complex addition and subtraction are exactly componentwise
-        in IEEE arithmetic, so consumers operating plane-by-plane produce
-        bit-identical numbers while every inner loop runs contiguous (the
-        strided ``.real``/``.imag`` views of a complex array defeat SIMD).
+        Returns ``(heads, tails)``:
+
+        * ``heads`` — ``(2, L, 2, m, S, split)`` indexed ``[channel, group,
+          plane, level, code]``: the part a candidate firing contributes to
+          the *current* slot (the cost update), level-major so that a
+          gather by history code yields per-level contiguous slabs;
+        * ``tails`` — ``(2, L, 2, S, m, W - split)`` indexed ``[channel,
+          group, plane, code, level]``: the prediction it pushes into
+          future slots.
+
+        Plane 0 holds real parts and plane 1 imaginary parts.  Complex
+        addition and subtraction are exactly componentwise in IEEE
+        arithmetic, so consumers working plane by plane produce
+        bit-identical numbers while every inner loop runs over contiguous
+        float64.  Every ``[channel, group]`` and ``[channel, group, plane]``
+        sub-array is C-contiguous.  Built once per bank and split (cached,
+        invalidated with the pulse cache on :meth:`set_coefficients`).
         """
-        cache_key = (channel, index, "planes", split)
+        cache_key = ("planes", split)
         cached = self._pulse_cache.get(cache_key)
         if cached is not None:
             return cached
-        head, tail = self.dense_split(channel, index, split)
-        planes = (
-            np.ascontiguousarray(head.real),
-            np.ascontiguousarray(head.imag),
-            np.ascontiguousarray(tail.real),
-            np.ascontiguousarray(tail.imag),
-        )
-        self._pulse_cache[cache_key] = planes
-        return planes
-
-    def dense_split_head_planes_t(
-        self, channel: int, index: int, split: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Head planes of :meth:`dense_split_planes`, level-major.
-
-        Returns ``(head_re_t, head_im_t)`` with shape ``(m, S, split)`` —
-        the head tables transposed so that fixing the candidate level yields
-        a contiguous ``(S, split)`` slab.  Gathering through these produces
-        level-major pulse stacks whose per-level slices are fully contiguous,
-        which lets the demodulator's cost loop run long SIMD inner loops.
-        Same float values as :meth:`dense_split_planes`, just relaid.
-        """
-        cache_key = (channel, index, "planes_t", split)
-        cached = self._pulse_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        head_re, head_im, _, _ = self.dense_split_planes(channel, index, split)
-        planes_t = (
-            np.ascontiguousarray(head_re.transpose(1, 0, 2)),
-            np.ascontiguousarray(head_im.transpose(1, 0, 2)),
-        )
-        self._pulse_cache[cache_key] = planes_t
-        return planes_t
+        table = self.dense_table()
+        planes = np.stack((table.real, table.imag), axis=2)
+        heads = np.ascontiguousarray(planes[..., :split].swapaxes(3, 4))
+        tails = np.ascontiguousarray(planes[..., split:])
+        self._pulse_cache[cache_key] = (heads, tails)
+        return heads, tails
 
     # ------------------------------------------------------------- factory
 

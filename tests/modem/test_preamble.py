@@ -104,6 +104,47 @@ class TestDetection:
             p.detect(np.zeros(10_000, dtype=complex))
 
 
+class TestNonFiniteSamples:
+    """Channel damage (NaN/inf samples) costs a window +inf instead of
+    reaching ``lstsq``, whose SVD fails on it."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_damaged_window_costs_inf_intact_ones_unchanged(
+        self, preamble, fast_config, fast_array, value
+    ):
+        x = received_with_offset(preamble, fast_config, fast_array, 20)
+        k = preamble.n_samples
+        intact = [preamble.offset_cost(x, off) for off in range(0, 40, 3)]
+        x[30] = value
+        damaged = [preamble.offset_cost(x, off) for off in range(0, 40, 3)]
+        for off, before, after in zip(range(0, 40, 3), intact, damaged):
+            if off <= 30 < off + k:
+                assert after == np.inf
+            else:
+                assert after == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_detect_skips_damaged_windows(self, preamble, fast_config, fast_array, value):
+        x = received_with_offset(preamble, fast_config, fast_array, 33)
+        clean = preamble.detect(x, search_stop=60)
+        # Damage before the true start: only earlier candidates see it.
+        x[20] = value
+        det = preamble.detect(x, search_stop=60)
+        assert det.detected and det.offset == clean.offset == 33
+        assert det.normalised_cost == clean.normalised_cost
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_no_finite_window_is_an_undetected_placeholder(
+        self, preamble, fast_config, fast_array, value
+    ):
+        x = received_with_offset(preamble, fast_config, fast_array, 10)
+        x[70] = value  # inside every candidate window of offsets 0..60
+        det = preamble.detect(x, search_stop=60)
+        assert not det.detected
+        assert det.normalised_cost == np.inf and det.snr_db == -np.inf
+        assert det.corrector == RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j)
+
+
 class TestConstruction:
     def test_minimum_length_enforced(self, fast_config):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ event audit trail — to the last bit.
 
 from __future__ import annotations
 
+import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,14 +72,19 @@ def run_streaming(sim, cap, chunk_sizes):
     return outs
 
 
+def same_float(a, b) -> bool:
+    """Equal, or both NaN (a damaged payload leaves a NaN equalizer MSE)."""
+    return a == b or (a != a and b != b)
+
+
 def assert_outputs_identical(streamed, batch, context):
     assert streamed.payload == batch.payload, context
     assert streamed.crc_ok == batch.crc_ok, context
-    assert streamed.snr_est_db == batch.snr_est_db, context
-    assert streamed.equalizer_mse == batch.equalizer_mse, context
+    assert same_float(streamed.snr_est_db, batch.snr_est_db), context
+    assert same_float(streamed.equalizer_mse, batch.equalizer_mse), context
     assert streamed.detection.offset == batch.detection.offset, context
-    assert streamed.detection.normalised_cost == batch.detection.normalised_cost, context
-    assert streamed.detection.snr_db == batch.detection.snr_db, context
+    assert same_float(streamed.detection.normalised_cost, batch.detection.normalised_cost), context
+    assert same_float(streamed.detection.snr_db, batch.detection.snr_db), context
     assert streamed.detection.detected == batch.detection.detected, context
     np.testing.assert_array_equal(streamed.levels_i, batch.levels_i)
     np.testing.assert_array_equal(streamed.levels_q, batch.levels_q)
@@ -198,3 +204,34 @@ def test_fixed_capture_stream_matches_per_capture_batch(seed, chunk):
     assert len(outs) == len(batch)
     for streamed, expected in zip(outs, batch):
         assert_outputs_identical(streamed, expected, (seed, chunk))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("span", ["search", "preamble", "training", "payload"])
+def test_non_finite_sample_streams_like_batch_and_never_raises(span, value):
+    """A NaN/inf sample (channel damage, or garbage from outside the
+    program) in any span of the frame is classified or decoded through,
+    never raised, and every chunking streams the batch record.  "search"
+    damages a sample inside every first-pass candidate window."""
+    sim = sim_for()
+    cap = sim.make_capture(rng=7)
+    frame = sim.receiver.frame
+    ts = sim.config.samples_per_slot
+    start = sim.receiver.receive(cap.samples, search_stop=cap.search_stop).detection.offset
+    preamble_end = start + frame.preamble_slots * ts
+    training_end = preamble_end + frame.training.n_slots * ts
+    pos = {
+        "search": cap.search_stop + 1,
+        "preamble": start + 5,
+        "training": preamble_end + 7,
+        "payload": training_end + 13,
+    }[span]
+    x = cap.samples.copy()
+    x[pos] = value
+    damaged = dataclasses.replace(cap, samples=x)
+    batch = sim.receiver.receive(x, search_start=0, search_stop=cap.search_stop)
+    whole, by_256 = [x.size], [256] * (x.size // 256 + 1)
+    for chunk_sizes in (whole, by_256, partition(x.size, [37, 38, 901, pos])):
+        outs = run_streaming(sim, damaged, chunk_sizes)
+        assert len(outs) == 1, chunk_sizes
+        assert_outputs_identical(outs[0], batch, (span, value, chunk_sizes))

@@ -252,7 +252,15 @@ def _hot_functions():
         LinkStateStore._apply_outcomes,
         DFEBlockSession.__init__,
         DFEBlockSession.feed,
+        DFEBlockSession._make_scratch,
+        DFEBlockSession._extension_costs,
+        DFEBlockSession._select,
+        DFEBlockSession._merge_scan,
+        DFEBlockSession._merge_sorted,
+        DFEBlockSession._shift_history,
         DFEBlockSession._step,
+        DFEBlockSession.finish,
+        DFEBlockSession._traceback,
         DFEDemodulator._sparse_stacks,
         DFEDemodulator._advance_known,
         DFEDemodulator._shift_in_pair,
