@@ -10,6 +10,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/make_goldens.py          # refuses if fixtures exist
     PYTHONPATH=src python tests/golden/make_goldens.py --force  # explicit regeneration
+    PYTHONPATH=src python tests/golden/make_goldens.py --receiver  # receiver records only
 
 Regenerating *moves the wall*: only do it deliberately (a knowing behaviour
 change), never to make a red test green.
@@ -286,6 +287,40 @@ def build_streaming_cases() -> dict[str, tuple[dict, dict]]:
     }
 
 
+def build_receiver_records(force: bool) -> dict[str, dict]:
+    """Freeze the receiver-record corpus of ``receiver_cases.py`` (``--receiver``).
+
+    One JSON line per case: its spec, the sha256 of its capture samples and
+    the batch receiver's record.  Every stream chunking must already agree
+    with batch here — a frozen record that disagreed would pin a bug.
+    """
+    from receiver_cases import CASES, run_case
+
+    target = CASES_DIR / "receiver_records.jsonl"
+    if target.exists() and not force:
+        raise RuntimeError(f"{target} exists; pass --force")
+    lines = []
+    for case in CASES:
+        digest, batch, streams = run_case(case)
+        for label, record in streams.items():
+            assert record == batch, f"{case.name}: {label} stream disagrees with batch"
+        lines.append(
+            json.dumps(
+                {"spec": case.to_dict(), "samples_sha256": digest, "expected": batch},
+                sort_keys=True,
+            )
+        )
+    target.write_text("\n".join(lines) + "\n")
+    print(f"wrote {target.name} ({len(lines)} cases)")
+    return {
+        "receiver_records": {
+            "kind": "receiver_records",
+            "journal": target.name,
+            "n_cases": len(lines),
+        }
+    }
+
+
 def build_polarization_cases() -> dict[str, tuple[dict, dict]]:
     """The frozen polarization-rung emits (``--polarization``)."""
     from polarization_cases import POLARIZATION_CASES, run_case
@@ -354,7 +389,21 @@ def main(argv: list[str] | None = None) -> int:
         "npz cases plus the sweep_polarization journal), merging into the "
         "existing manifest",
     )
+    parser.add_argument(
+        "--receiver",
+        action="store_true",
+        help="regenerate only the receiver-record corpus, merging into the "
+        "existing manifest",
+    )
     args = parser.parse_args(argv)
+
+    if args.receiver:
+        manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+        CASES_DIR.mkdir(parents=True, exist_ok=True)
+        manifest.update(build_receiver_records(force=args.force))
+        MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {MANIFEST} ({len(manifest)} cases)")
+        return 0
 
     if args.polarization:
         manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
@@ -417,6 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         manifest[name] = meta
         print(f"wrote {name}: {', '.join(sorted(arrays))}")
     manifest.update(build_sweep_journals(force=args.force))
+    manifest.update(build_receiver_records(force=args.force))
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST} ({len(manifest)} cases)")
     return 0
