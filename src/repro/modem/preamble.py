@@ -55,6 +55,17 @@ class PreambleDetection:
     snr_db: float
     detected: bool
 
+    @classmethod
+    def miss(cls, offset: int = 0) -> "PreambleDetection":
+        """A miss with nothing fitted: identity corrector, infinite cost."""
+        return cls(
+            offset=offset,
+            corrector=RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j),
+            normalised_cost=float("inf"),
+            snr_db=float("-inf"),
+            detected=False,
+        )
+
 
 class Preamble:
     """A deterministic preamble sequence plus its clean reference waveform.
@@ -246,15 +257,9 @@ class Preamble:
                 best = (cost, off, corrector)
         cost, offset, corrector = best
         if corrector is None:
-            # No candidate window could be fitted: report a miss with an
-            # identity placeholder corrector rather than fail.
-            return PreambleDetection(
-                offset=offset,
-                corrector=RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j),
-                normalised_cost=float("inf"),
-                snr_db=float("-inf"),
-                detected=False,
-            )
+            # No candidate window could be fitted: report a miss rather
+            # than fail.
+            return PreambleDetection.miss(offset)
         fitted = corrector.apply(x[offset + skip : offset + skip + k])
         snr = estimate_snr_db(y, fitted - y)
         return PreambleDetection(

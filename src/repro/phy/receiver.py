@@ -24,6 +24,11 @@ damage and never silently fabricates payload bytes.  The ladder:
 
 Pass ``hardened=False`` for the original fragile behaviour (used by tests
 to demonstrate the recovery ladder's value).
+
+The stage sequence lives in one method, :meth:`PhyReceiver._run_stages`:
+:meth:`PhyReceiver.receive` runs it on a whole capture, and the streaming
+receiver (:mod:`repro.phy.streaming`) runs it on its buffer once a
+detection's frame has arrived or the capture has ended.
 """
 
 from __future__ import annotations
@@ -167,17 +172,12 @@ class PhyReceiver:
     def frame_samples_after_offset(self) -> int:
         """Samples needed from the preamble start to the payload's end.
 
-        Public because chunked callers (the streaming receiver) must know
-        how far past a detection the buffer has to extend before the decode
-        can complete — the boundary between ``buffer_pending`` (await more
-        chunks) and ``truncated_capture`` (the stream ended short).
+        Public because the streaming receiver waits until a committed
+        detection's whole frame is buffered before running the stages.
         """
         frame = self.frame
         ts = self.config.samples_per_slot
         return (frame.preamble_slots + frame.training.n_slots + frame.payload_slots) * ts
-
-    # Backwards-compatible private alias.
-    _frame_samples_after_offset = frame_samples_after_offset
 
     def _failure_output(
         self,
@@ -200,32 +200,18 @@ class PhyReceiver:
             events=events,
         )
 
-    def _detect_with_retries(
+    def _retry_detection(
         self,
         x: np.ndarray,
-        search_start: int,
-        search_stop: int | None,
+        detection: PreambleDetection,
         events: list[StageEvent],
-        coarse_offset: int | None = None,
     ) -> PreambleDetection:
-        """First-pass search plus the bounded fallback ladder.
-
-        ``coarse_offset`` short-circuits the first pass's coarse scan with a
-        caller-computed coarse minimum (the streaming receiver's incremental
-        scanner); the retry ladder is unaffected.
-        """
-        frame = self.frame
-        detection = frame.preamble.detect(
-            x,
-            search_start=search_start,
-            search_stop=search_stop,
-            coarse_offset=coarse_offset,
-        )
+        """The bounded fallback ladder after a first-pass search over ``x``."""
         if detection.detected or not self.hardened:
             if detection.detected:
                 self._event(events, FailureStage.DETECTION, "ok")
             return detection
-
+        frame = self.frame
         retries = []
         # Retry 1: the caller's window may simply have been too narrow.
         retries.append(("widened search window", dict(search_start=0, search_stop=None)))
@@ -255,13 +241,8 @@ class PhyReceiver:
         snr_db: float,
         events: list[StageEvent],
     ) -> ReferenceBank:
-        """Online training with the ill-conditioned-solve fallback.
-
-        ``segment`` is exactly the corrected training span — callers slice
-        it, so a streaming caller can hand over a span assembled from
-        chunks (bit-identical to a whole-buffer slice, since rotation
-        correction is elementwise).
-        """
+        """Online training with the ill-conditioned-solve fallback on the
+        corrected training span ``segment``."""
         if not self.hardened:
             return self._trainer.train(segment)
         try:
@@ -304,62 +285,40 @@ class PhyReceiver:
         x: np.ndarray,
         search_start: int = 0,
         search_stop: int | None = None,
-        stream_end: bool = True,
+    ) -> ReceiverOutput:
+        """Run the full pipeline on one whole capture of raw receiver samples."""
+        return self._run_stages(np.asarray(x, dtype=complex), search_start, search_stop)
+
+    def _run_stages(
+        self,
+        x: np.ndarray,
+        search_start: int,
+        search_stop: int | None,
+        detection: PreambleDetection | None = None,
         coarse_offset: int | None = None,
     ) -> ReceiverOutput:
-        """Run the full pipeline on raw receiver samples.
+        """The stage sequence on capture buffer ``x`` (a complex host array).
 
-        ``stream_end`` says whether ``x`` is the *final* extent of this
-        capture.  The whole-buffer call sites leave it True; a chunked
-        caller passes False while more samples may still arrive, turning
-        the "frame overruns the buffer" condition from a terminal
-        ``truncated_capture`` loss (or, unhardened, a ``ValueError``) into
-        a resumable ``buffer_pending`` classification — re-calling with the
-        extended buffer completes the decode.
-
-        ``coarse_offset`` forwards an externally computed coarse-scan
-        minimum to the first preamble search (see
-        :meth:`~repro.modem.preamble.Preamble.detect`).
+        ``detection`` is a first-pass search over ``x`` that already ran
+        (the streaming receiver commits one mid-stream); without it the
+        first pass runs here, its coarse scan skipped when the caller
+        passes the coarse minimum as ``coarse_offset``.  Both receivers
+        decode through this one method.
         """
         frame = self.frame
         cfg = self.config
         ts = cfg.samples_per_slot
-        x = np.asarray(x, dtype=complex)
         events: list[StageEvent] = []
         obs = self._obs
-        if not stream_end and x.size < search_start + frame.preamble.n_samples:
-            # Not even one candidate offset is searchable yet; with the
-            # stream still open that is a wait state, not a detection error.
-            self._event(events, FailureStage.CAPTURE, "pending", "buffer_pending")
-            from repro.modem.preamble import PreambleDetection, RotationCorrector
-
-            placeholder = PreambleDetection(
-                offset=0,
-                corrector=RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j),
-                normalised_cost=float("inf"),
-                snr_db=float("-inf"),
-                detected=False,
-            )
-            return ReceiverOutput(
-                payload=b"",
-                crc_ok=False,
-                detection=placeholder,
-                snr_est_db=placeholder.snr_db,
-                levels_i=np.zeros(0, dtype=int),
-                levels_q=np.zeros(0, dtype=int),
-                equalizer_mse=float("inf"),
-                failure=FailureReason(
-                    FailureStage.CAPTURE,
-                    "buffer_pending",
-                    f"need {search_start + frame.preamble.n_samples} samples "
-                    f"to search, have {x.size}",
-                ),
-                events=events,
-            )
         with obs.span("preamble") as det_span:
-            detection = self._detect_with_retries(
-                x, search_start, search_stop, events, coarse_offset
-            )
+            if detection is None:
+                detection = frame.preamble.detect(
+                    x,
+                    search_start=search_start,
+                    search_stop=search_stop,
+                    coarse_offset=coarse_offset,
+                )
+            detection = self._retry_detection(x, detection, events)
             if obs.enabled:
                 det_span.annotate(detected=detection.detected, offset=int(detection.offset))
                 obs.count(
@@ -381,27 +340,6 @@ class PhyReceiver:
 
         needed = self.frame_samples_after_offset()
         if detection.offset + needed > x.size:
-            if not stream_end:
-                # The frame extends past the buffered samples but the stream
-                # has not ended — not a loss, a resumable wait state.  No
-                # fit-constrained re-search either: the honest frame may
-                # simply not have arrived yet.
-                self._event(events, FailureStage.CAPTURE, "pending", "buffer_pending")
-                return ReceiverOutput(
-                    payload=b"",
-                    crc_ok=False,
-                    detection=detection,
-                    snr_est_db=detection.snr_db,
-                    levels_i=np.zeros(0, dtype=int),
-                    levels_q=np.zeros(0, dtype=int),
-                    equalizer_mse=float("inf"),
-                    failure=FailureReason(
-                        FailureStage.CAPTURE,
-                        "buffer_pending",
-                        f"need {detection.offset + needed} samples, have {x.size}",
-                    ),
-                    events=events,
-                )
             if not self.hardened:
                 if detection.detected:
                     raise ValueError(

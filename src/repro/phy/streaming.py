@@ -1,18 +1,19 @@
-"""Streaming chunked receiver: §4.3 receive pipeline over a sample stream.
+"""Streaming chunked receiver: the §4.3 receive pipeline over a sample stream.
 
 :class:`StreamingReceiver` wraps a :class:`~repro.phy.receiver.PhyReceiver`
 and consumes the capture in arbitrary-sized chunks — down to single samples,
 split anywhere including mid-preamble or mid-training — while emitting the
-*identical* :class:`~repro.phy.receiver.ReceiverOutput` /
-:class:`~repro.errors.FailureReason` / :class:`~repro.errors.StageEvent`
-records the whole-buffer path produces.  That bit-identity is the load-bearing
-contract (pinned by ``tests/phy/test_streaming_equivalence.py`` and the
-streaming golden wall) and it shapes the whole design:
+*identical* :class:`~repro.phy.receiver.ReceiverOutput` (failure, stage
+events, stage metrics and raised exceptions included) that
+``receiver.receive`` produces on the whole capture.  The stream runs no
+stage of its own: a detector scans the incoming samples, then the
+receiver's one stage sequence decodes the buffer.  The bit-identity is
+pinned by ``tests/phy/test_streaming_equivalence.py`` and the golden walls.
 
 **Capture model.**  A stream is a sequence of *captures* — the unit the
 batch receiver decodes.  Captures are delimited either by a fixed
-``capture_samples`` length (continuous ingest; decode can complete and emit
-mid-push, long before the capture boundary) or by explicit
+``capture_samples`` length (continuous ingest; the output can be emitted
+mid-push, before the capture boundary) or by explicit
 :meth:`StreamingReceiver.end_capture` calls.  Each capture yields exactly
 one output, equal to ``receiver.receive(capture, search_start, search_stop)``
 on the concatenated samples.
@@ -21,38 +22,32 @@ on the concatenated samples.
 running ``min`` over slice-local costs (each candidate offset reads only
 ``x[off : off + k]`` — see :meth:`~repro.modem.preamble.Preamble.offset_cost`),
 so the scan streams: a rolling ``(cost, offset)`` tuple-min advances as far
-as the buffered samples allow after every chunk, carrying the detector's
-tail state across chunk boundaries.  With a bounded search window the scan
-*commits* mid-stream once every coarse offset and the fine-pass margin are
-buffered — from that point the detection equals the batch detector's by
-construction.  With an unbounded window the coarse minimum still accumulates
-incrementally and is handed to the batch detector at capture end as a
-``coarse_offset`` hint, skipping the re-scan.
+as the buffered samples allow after every chunk.  With a bounded search
+window the scan *commits* once every coarse offset and the fine-pass margin
+are buffered; the committed detection equals the batch first pass by
+construction.  With an unbounded window the coarse minimum is handed to the
+stage sequence at capture end as a ``coarse_offset`` hint, skipping the
+re-scan.
 
-**Certainty gating.**  Stage effects (events, metric counts, the training
-solve) are only performed once the batch pipeline is *guaranteed* to perform
-them identically: after a committed confident detection, and once the frame
-is known to fit the capture (immediately, when ``capture_samples`` bounds
-the capture; otherwise once ``offset + frame_samples`` are buffered).  Every
-uncertain or failure path — unconfident detection, truncation, short
-buffers — is finalised by delegating the retained capture buffer to the
-inner ``PhyReceiver.receive``, which reproduces the batch ladder (including
-its raises) verbatim.
-
-**Block-wise DFE.**  The payload decodes through
-:class:`~repro.modem.dfe.DFEBlockSession`, feeding rotation-corrected
-chunks as they arrive; the session's carry machinery makes any chunking
-bit-identical to the whole-buffer demodulate.
+**One certainty rule.**  The stages run once a committed detection's whole
+frame is buffered.  Every stage reads only the frame's samples and rotation
+correction is elementwise, so the stage sequence on the buffered prefix is
+the batch decode; its output is emitted from that push.  Everything else
+runs at the capture's end on the whole buffer: a hardened first-pass miss
+(its retry ladder searches the whole capture), a frame that overruns a
+fixed-length capture or a capture that ends short (the truncation ladder),
+and a capture whose window never committed.
 
 **Backpressure.**  By default the capture buffer grows to the capture size
 (memory is O(capture), freed at the boundary).  ``max_buffered_samples``
-arms a drop policy: a capture whose *pre-decode* buffer exceeds the bound is
-abandoned with a ``FailureReason(CAPTURE, "backpressure_drop")`` output and
-counted on ``stream.backpressure_drops`` — by construction this breaks
-equivalence for that capture, so the default is off.
+arms a drop policy: a capture whose buffer exceeds the bound before a
+detection commits is abandoned with a
+``FailureReason(CAPTURE, "backpressure_drop")`` output and counted on
+``stream.backpressure_drops`` — by construction this breaks equivalence for
+that capture, so the default is off.
 
-Observability: the wrapped receiver's stage metrics flow unchanged; the
-stream adds ``stream.*`` gauges — buffered samples, backpressure drops,
+Observability: stage spans and metrics are the receiver's, on its observer;
+the stream adds ``stream.*`` gauges — buffered samples, backpressure drops,
 sustained emitted pkt/s — plus rolling AGC/normalisation state (running RMS
 and DC estimates of the ingested samples; observational only, so the decode
 stays bit-identical).
@@ -65,8 +60,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import FailureReason, FailureStage, StageEvent
-from repro.modem.dfe import DFEDemodulator
+from repro.errors import FailureReason, FailureStage
+from repro.modem.preamble import PreambleDetection
 from repro.obs import ensure_observer
 from repro.phy.receiver import PhyReceiver, ReceiverOutput
 from repro.utils.backend import active_backend
@@ -78,9 +73,9 @@ log = get_logger(__name__)
 
 # Capture-lifecycle states.
 _SCANNING = "scanning"  # pre-detection: incremental coarse scan running
-_DECODING = "decoding"  # committed detection: stages stream as samples land
+_WAITING = "waiting"  # committed detection: waiting for its whole frame
+_DEFER = "defer"  # decoded at capture end, on the whole buffer
 _DONE = "done"  # output emitted; draining to the capture boundary
-_DEFER = "defer"  # batch-delegate at capture end (failure/uncertain path)
 
 
 class _GrowBuffer:
@@ -137,8 +132,9 @@ class StreamingReceiver:
         Optional backpressure bound on the pre-decode capture buffer (see
         module docstring).  ``None`` (default) preserves equivalence.
     observer:
-        Defaults to the wrapped receiver's observer so stage metrics land
-        in the same registry.
+        Registry of the ``stream.*`` gauges; defaults to the wrapped
+        receiver's observer.  Stage spans and metrics always land on the
+        receiver's own observer, as they do for ``receive``.
     """
 
     def __init__(
@@ -186,15 +182,8 @@ class StreamingReceiver:
         self._matched = None  # (y, skip, ref_power) of the primary search
         self._coarse_next = self.search_start
         self._coarse_best: tuple[float, int] | None = None
-        # Committed-detection decode state.
-        self._detection = None
-        self._events: list[StageEvent] = []
-        self._certain = False
-        self._session = None
-        self._bank = None
-        self._fed_to = 0  # absolute sample index fed into the DFE session
-        self._frame_needed = 0
-        self._output: ReceiverOutput | None = None
+        self._detection: PreambleDetection | None = None  # committed first pass
+        self._frame_end = 0  # buffered samples the committed frame needs
 
     @property
     def buffered_samples(self) -> int:
@@ -269,21 +258,6 @@ class StreamingReceiver:
             yield from self.push(chunk)
         yield from self.close()
 
-    def probe(self) -> ReceiverOutput:
-        """Diagnostic: run the batch pipeline on the current partial buffer
-        with ``stream_end=False`` — a frame extending past the buffer is
-        classified ``buffer_pending`` instead of lost.  Does not consume or
-        alter stream state.
-        """
-        if self._buf is None:
-            raise RuntimeError("no samples buffered")
-        return self._inner.receive(
-            self._backend.to_host(self._buf.view()),
-            search_start=self.search_start,
-            search_stop=self.search_stop,
-            stream_end=False,
-        )
-
     # ------------------------------------------------------------- ingest
 
     def _ingest(self, piece, outputs: list[ReceiverOutput]) -> None:
@@ -303,8 +277,8 @@ class StreamingReceiver:
             return
         if self._state == _SCANNING:
             self._advance_scan()
-        if self._state == _DECODING:
-            self._advance_decode(outputs)
+        if self._state == _WAITING and self._buf.size >= self._frame_end:
+            self._decode(outputs)
 
     def _update_agc(self, chunk) -> None:
         """Fold a chunk into the rolling AGC estimate and export gauges."""
@@ -357,182 +331,43 @@ class StreamingReceiver:
             return  # unbounded window: can only finalise at capture end
         if self.search_start > sstop:
             # Degenerate window: the batch detector raises "empty search
-            # range" — reproduce it through the capture-end delegate.
+            # range" — the stage sequence reproduces it at capture end.
             self._state = _DEFER
             return
         if self._coarse_next <= sstop or avail < sstop + k:
             return  # scan or fine-pass margin still incomplete
         # Commit: the batch first-pass detection over any longer buffer is
-        # now fully determined by the buffered prefix.  The commit itself is
-        # side-effect-free — events/metrics fire at the certainty point (see
-        # _advance_decode), so an eventually-deferred capture emits nothing
-        # the batch delegate would not.
+        # now fully determined by the buffered prefix.
         inner = self._inner
-        detection = inner.frame.preamble.detect(
+        detection = preamble.detect(
             x,
             search_start=self.search_start,
             search_stop=sstop,
             coarse_offset=self._coarse_best[1],
         )
-        if not detection.detected and inner.hardened:
-            # The batch ladder retries over the *full* capture; defer.
-            self._state = _DEFER
-            return
         self._detection = detection
-        self._frame_needed = inner.frame_samples_after_offset()
-        if (
-            self.capture_samples is not None
-            and detection.offset + self._frame_needed > self.capture_samples
+        self._frame_end = detection.offset + inner.frame_samples_after_offset()
+        if (not detection.detected and inner.hardened) or (
+            self.capture_samples is not None and self._frame_end > self.capture_samples
         ):
-            # The frame cannot fit this capture; the batch path will run its
-            # truncation ladder on the full buffer.
+            # The retry ladder searches the whole capture, and a frame that
+            # overruns the capture runs the truncation ladder on all of it.
             self._state = _DEFER
-            self._detection = None
-            return
-        self._state = _DECODING
-
-    def _emit_detection_effects(self) -> None:
-        """The batch receive prologue's events/metrics for the committed
-        detection, in its exact order — emitted once the streamed decode is
-        guaranteed to run (so a deferred capture never pre-emits)."""
-        obs = self._obs
-        inner = self._inner
-        detection = self._detection
-        with obs.span("preamble") as det_span:
-            if detection.detected:
-                inner._event(self._events, FailureStage.DETECTION, "ok")
-            if obs.enabled:
-                det_span.annotate(detected=detection.detected, offset=int(detection.offset))
-                obs.count(
-                    "phy.preamble.searches_total",
-                    outcome="hit" if detection.detected else "miss",
-                )
-                if not detection.detected:
-                    det_span.set_status("failed", "preamble_not_found")
+        else:
+            self._state = _WAITING
 
     # -------------------------------------------------------------- decode
 
-    def _advance_decode(self, outputs: list[ReceiverOutput]) -> None:
-        """Stream the post-detection stages as far as the buffer allows."""
-        inner = self._inner
-        frame = inner.frame
-        ts = inner.config.samples_per_slot
-        detection = self._detection
-        avail = self._buf.size
-        offset = detection.offset
-        frame_end = offset + self._frame_needed
-        if not self._certain:
-            if self.capture_samples is None and avail < frame_end:
-                return  # open-ended capture: frame fit not yet guaranteed
-            self._certain = True
-            self._emit_detection_effects()
-        obs = self._obs
-        preamble_end = offset + frame.preamble_slots * ts
-        training_end = preamble_end + frame.training.n_slots * ts
-        payload_end = training_end + frame.payload_slots * ts
-        x = self._buf.view()
-        corrector = detection.corrector
-        if self._session is None:
-            if avail < training_end:
-                return
-            # Rotation correction commutes with slicing (elementwise), so
-            # correcting the training span alone matches the batch path's
-            # whole-buffer correction bit-for-bit.
-            with obs.span("rotation"):
-                segment = corrector.apply(self._backend.to_host(x[preamble_end:training_end]))
-            if inner.fixed_bank is not None:
-                bank = inner.fixed_bank
-            elif inner.online_training:
-                with obs.span("training") as train_span:
-                    bank = inner._train_bank(segment, detection.snr_db, self._events)
-                    if obs.enabled and bank is inner._nominal_bank:
-                        train_span.set_status("fallback", "nominal bank")
-            else:
-                bank = inner._nominal_bank
-            self._bank = bank
-            try:
-                dfe = DFEDemodulator(bank, k_branches=inner.k_branches, observer=obs)
-                self._session = dfe.begin_block(
-                    1, frame.payload_slots, prime_levels=frame.prime_levels()
-                )
-            except Exception as exc:  # classified exactly as the batch path
-                if self._classify_decode_error(exc, outputs):
-                    return
-                raise
-            self._fed_to = training_end
-        # Feed every newly-buffered payload sample into the block session.
-        upto = min(avail, payload_end)
-        if upto > self._fed_to:
-            corrected = corrector.apply(self._backend.to_host(x[self._fed_to : upto]))
-            try:
-                self._session.feed(corrected[None, :])
-            except Exception as exc:
-                if self._classify_decode_error(exc, outputs):
-                    return
-                raise
-            self._fed_to = upto
-        if avail < payload_end:
-            return
-        try:
-            with obs.span("equalize") as eq_span:
-                result = self._session.finish()[0]
-                if obs.enabled:
-                    eq_span.annotate(mse=result.mse, n_branches=result.n_branches)
-            with obs.span("decode"):
-                payload, crc_ok = frame.decode_payload(result.levels_i, result.levels_q)
-        except Exception as exc:
-            if self._classify_decode_error(exc, outputs):
-                return
-            raise
-        inner._event(self._events, FailureStage.EQUALIZATION, "ok")
-        failure = None
-        if not crc_ok:
-            failure = FailureReason(FailureStage.DECODE, "crc_mismatch")
-            inner._event(self._events, FailureStage.DECODE, "failed", "crc_mismatch")
-        else:
-            inner._event(self._events, FailureStage.DECODE, "ok")
+    def _decode(self, outputs: list[ReceiverOutput]) -> None:
+        """Run the receiver's stages on the buffered prefix, which now holds
+        the committed detection's whole frame."""
+        x = self._backend.to_host(self._buf.view())
         self._emit(
-            ReceiverOutput(
-                payload=payload,
-                crc_ok=crc_ok,
-                detection=detection,
-                snr_est_db=detection.snr_db,
-                levels_i=result.levels_i,
-                levels_q=result.levels_q,
-                equalizer_mse=result.mse,
-                failure=failure,
-                events=self._events,
+            self._inner._run_stages(
+                x, self.search_start, self.search_stop, detection=self._detection
             ),
             outputs,
         )
-
-    def _classify_decode_error(self, exc: Exception, outputs: list[ReceiverOutput]) -> bool:
-        """Mirror the batch path's equalize/decode exception handling.
-
-        Returns True when the error was converted into a classified-loss
-        output (hardened mode); False to re-raise (unhardened, or an error
-        class the batch path would not catch either).
-        """
-        from repro.errors import EqualizationError
-
-        if not isinstance(exc, (EqualizationError, ValueError, np.linalg.LinAlgError)):
-            return False
-        if not self._inner.hardened:
-            return False
-        code = (
-            "equalization_error" if isinstance(exc, EqualizationError) else "demodulator_error"
-        )
-        self._emit(
-            self._inner._failure_output(
-                self._detection,
-                FailureReason(FailureStage.EQUALIZATION, code, str(exc)),
-                self._events,
-            ),
-            outputs,
-        )
-        return True
-
-    # ----------------------------------------------------------- finalize
 
     def _emit(self, output: ReceiverOutput, outputs: list[ReceiverOutput]) -> None:
         """Deliver one capture output and release the capture buffer."""
@@ -540,46 +375,39 @@ class StreamingReceiver:
         self.packets_emitted += 1
         self._state = _DONE
         self._buf = None  # bounded memory: the capture buffer dies here
-        self._session = None
         if self._obs.enabled:
             self._obs.count("stream.packets_emitted_total")
 
     def _finalize_capture(self) -> list[ReceiverOutput]:
-        """Capture boundary: emit the deferred batch delegate if the
-        streamed pipeline did not already produce the output."""
+        """Capture boundary: run the stages on the whole buffer unless the
+        output was already emitted."""
         outputs: list[ReceiverOutput] = []
-        state = self._state
-        if state != _DONE:
-            buf = self._buf.view() if self._buf is not None else None
-            hint = self._coarse_hint()
-            try:
-                outputs.append(
-                    self._inner.receive(
-                        self._backend.to_host(buf),
-                        search_start=self.search_start,
-                        search_stop=self.search_stop,
+        try:
+            if self._state != _DONE:
+                x = self._backend.to_host(self._buf.view())
+                hint = None if self._detection is not None else self._coarse_hint()
+                self._emit(
+                    self._inner._run_stages(
+                        x,
+                        self.search_start,
+                        self.search_stop,
+                        detection=self._detection,
                         coarse_offset=hint,
-                    )
+                    ),
+                    outputs,
                 )
-                self.packets_emitted += 1
-                if self._obs.enabled:
-                    self._obs.count("stream.packets_emitted_total")
-            finally:
-                # A raising delegate (e.g. capture shorter than the
-                # preamble, matching the batch ValueError) still closes the
-                # capture so the stream can continue.
-                self.captures_completed += 1
-                self._reset_capture()
-            return outputs
-        self.captures_completed += 1
-        self._reset_capture()
+        finally:
+            # A raising capture (e.g. one shorter than the preamble, as in
+            # batch) still closes, so the stream can continue.
+            self.captures_completed += 1
+            self._reset_capture()
         return outputs
 
     def _coarse_hint(self) -> int | None:
         """The incremental scan's coarse minimum, iff it covered exactly the
         offsets the batch first pass will scan (then the hint is an identity
-        optimisation; otherwise the delegate re-scans from scratch)."""
-        if self._coarse_best is None or self._matched is None or self._buf is None:
+        optimisation; otherwise the first pass re-scans from scratch)."""
+        if self._coarse_best is None:
             return None
         y, skip, _ = self._matched
         stop = self._buf.size - y.size - skip
@@ -601,24 +429,15 @@ class StreamingReceiver:
             self._buf.size,
             self.max_buffered_samples,
         )
-        from repro.modem.preamble import PreambleDetection, RotationCorrector
-
-        placeholder = PreambleDetection(
-            offset=0,
-            corrector=RotationCorrector(1.0 + 0.0j, 0.0j, 0.0j),
-            normalised_cost=float("inf"),
-            snr_db=float("-inf"),
-            detected=False,
-        )
         self._emit(
             self._inner._failure_output(
-                placeholder,
+                PreambleDetection.miss(),
                 FailureReason(
                     FailureStage.CAPTURE,
                     "backpressure_drop",
                     f"buffered {self._fill} samples above bound {self.max_buffered_samples}",
                 ),
-                self._events,
+                [],
             ),
             outputs,
         )

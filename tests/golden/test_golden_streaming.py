@@ -5,7 +5,8 @@ streamed with, and the full receiver record (payload, levels, detection,
 failure, stage events) produced at freeze time.  Replaying the stored chunks
 through :class:`~repro.phy.streaming.StreamingReceiver` must reproduce that
 record *bit-exactly* — this is the wall behind which the incremental scan,
-the carry-state DFE plumbing, and the array-backend seam can be rewritten.
+the hand-off to the receiver's stage sequence, and the array-backend seam
+can be rewritten.
 
 The four committed cases pin the seam-sensitive shapes: a clean decode, a
 preamble split across three chunk boundaries, a truncated final chunk (the

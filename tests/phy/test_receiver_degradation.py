@@ -109,6 +109,11 @@ class TestEqualizationErrorClassification:
             hardened=hardened,
         )
 
+    @classmethod
+    def _decode(cls, hardened: bool):
+        """One packet through the batch receiver."""
+        return cls._clean_sim(hardened).run_packet(rng=11)
+
     @staticmethod
     def _raising(monkeypatch, exc):
         from repro.modem.dfe import DFEDemodulator
@@ -123,13 +128,13 @@ class TestEqualizationErrorClassification:
 
         self._raising(monkeypatch, EqualizationError("forced"))
         with pytest.raises(EqualizationError, match="forced"):
-            self._clean_sim(hardened=False).run_packet(rng=11)
+            self._decode(hardened=False)
 
     def test_hardened_receiver_classifies_equalization_error(self, monkeypatch):
         from repro.errors import EqualizationError
 
         self._raising(monkeypatch, EqualizationError("forced"))
-        result = self._clean_sim(hardened=True).run_packet(rng=11)
+        result = self._decode(hardened=True)
         assert not result.crc_ok
         assert result.failure is not None
         assert result.failure.stage == FailureStage.EQUALIZATION
@@ -139,7 +144,7 @@ class TestEqualizationErrorClassification:
         """A plain ValueError out of the demodulator is *not* an
         equalization refusal and must keep its own code."""
         self._raising(monkeypatch, ValueError("singular"))
-        result = self._clean_sim(hardened=True).run_packet(rng=11)
+        result = self._decode(hardened=True)
         assert result.failure is not None
         assert result.failure.stage == FailureStage.EQUALIZATION
         assert result.failure.code == "demodulator_error"
@@ -154,6 +159,23 @@ class TestEqualizationErrorClassification:
             demod.demodulate_block(np.zeros((2, 10)), n_symbols=64)
         with pytest.raises(EqualizationError, match="2-D"):
             demod.demodulate_block(np.zeros(10), n_symbols=1)
+
+
+class TestStreamedEqualizationErrorClassification(TestEqualizationErrorClassification):
+    """The same classification for the same capture streamed in 256-sample
+    chunks: the streaming receiver decodes through the receiver's stages."""
+
+    @classmethod
+    def _decode(cls, hardened: bool):
+        sim = cls._clean_sim(hardened)
+        cap = sim.make_capture(rng=11)
+        rx = sim.make_streaming_receiver(search_stop=cap.search_stop)
+        chunks = [cap.samples[lo : lo + 256] for lo in range(0, cap.samples.size, 256)]
+        (out,) = list(rx.run(chunks))
+        return out
+
+    # The block engine's own validation does not depend on the receive path.
+    test_short_input_raises_equalization_error = None
 
 
 class TestCleanPathUnchanged:

@@ -1,10 +1,11 @@
 """Unit tests for the streaming receiver's capture lifecycle.
 
 The bit-identity contract lives in ``test_streaming_equivalence.py`` and
-the golden wall; this file covers the machinery around it — capture
-delimiting, the run() generator, probe(), backpressure policy, the
-``stream.*`` gauges, and the ``buffer_pending`` classification the batch
-receiver grew for resumable streaming decodes.
+the golden walls; this file covers the machinery around it — capture
+delimiting, the run() generator, backpressure policy, the ``stream.*``
+gauges, the batch truncation ladder on a short buffer, and the stage
+counters and spans a streamed capture records through the receiver's one
+stage sequence.
 """
 
 from __future__ import annotations
@@ -132,18 +133,6 @@ class TestCaptureLifecycle:
         assert rx.buffered_samples == 0  # capture buffer freed at emission
         assert rx.push(pad) == []  # draining to the boundary re-buffers nothing
 
-    def test_probe_reports_pending_then_full_decode(self, sim, capture):
-        rx = StreamingReceiver(sim.receiver, search_stop=capture.search_stop)
-        with pytest.raises(RuntimeError, match="no samples"):
-            rx.probe()
-        rx.push(capture.samples[: capture.search_stop + 400])
-        partial = rx.probe()
-        assert partial.failure is not None
-        assert partial.failure.code == "buffer_pending"
-        outs = rx.push(capture.samples[capture.search_stop + 400 :])
-        outs.extend(rx.close())
-        assert len(outs) == 1 and outs[0].crc_ok
-
 
 class TestBackpressure:
     def test_oversized_capture_is_dropped_and_classified(self, sim, capture):
@@ -216,10 +205,10 @@ class TestStreamGauges:
         assert series["stream.agc_dc_mag"]["value"] == pytest.approx(dc)
 
 
-class TestBufferPending:
-    """The receiver-level ``stream_end=False`` contract (the whole-buffer
-    assumption fix): a frame overrunning a *partial* buffer is pending, not
-    lost, and the decode resumes cleanly once the buffer fills."""
+class TestTruncatedBuffer:
+    """A buffer cut short of its frame runs the batch truncation ladder:
+    classified as ``truncated_capture`` when hardened, a ``ValueError``
+    when not."""
 
     @pytest.fixture(scope="class", params=[True, False], ids=["hardened", "unhardened"])
     def rig(self, request, fast_config):
@@ -229,60 +218,92 @@ class TestBufferPending:
         assert full.crc_ok
         return s, cap, full
 
-    def _short_prefix(self, sim, cap, full, cut=3):
+    def test_runs_the_truncation_ladder(self, rig):
+        sim, cap, full = rig
         needed = sim.receiver.frame_samples_after_offset()
-        return cap.samples[: full.detection.offset + needed - cut]
-
-    def test_partial_buffer_is_classified_pending(self, rig):
-        sim, cap, full = rig
-        out = sim.receiver.receive(
-            self._short_prefix(sim, cap, full), 0, cap.search_stop, stream_end=False
-        )
-        assert out.failure is not None
-        assert out.failure.stage is FailureStage.CAPTURE
-        assert out.failure.code == "buffer_pending"
-        assert "need" in out.failure.detail and "have" in out.failure.detail
-        assert out.payload == b"" and not out.crc_ok
-        assert [e.status for e in out.events if e.stage is FailureStage.CAPTURE] == [
-            "pending"
-        ]
-
-    def test_resumed_decode_matches_whole_buffer(self, rig):
-        sim, cap, full = rig
-        sim.receiver.receive(
-            self._short_prefix(sim, cap, full), 0, cap.search_stop, stream_end=False
-        )
-        again = sim.receiver.receive(cap.samples, 0, cap.search_stop, stream_end=False)
-        assert again.crc_ok and again.payload == full.payload
-        assert again.equalizer_mse == full.equalizer_mse
-        assert again.detection.offset == full.detection.offset
-
-    def test_stream_end_true_keeps_the_old_ladder(self, rig):
-        """With ``stream_end=True`` (the default, i.e. batch semantics) a
-        deeply truncated buffer still runs the truncation ladder / raises —
-        the pending classification never leaks into batch calls."""
-        sim, cap, full = rig
-        prefix = self._short_prefix(sim, cap, full, cut=600)
+        prefix = cap.samples[: full.detection.offset + needed - 600]
         if sim.receiver.hardened:
             out = sim.receiver.receive(prefix, 0, cap.search_stop)
-            if out.failure is not None:
-                assert out.failure.code != "buffer_pending"
-            assert all(e.status != "pending" for e in out.events)
+            assert out.failure is not None
+            assert out.failure.stage is FailureStage.CAPTURE
+            assert out.failure.code == "truncated_capture"
         else:
             with pytest.raises(ValueError, match="truncated"):
                 sim.receiver.receive(prefix, 0, cap.search_stop)
 
-    def test_pending_when_buffer_shorter_than_preamble(self, rig):
-        """A probe before even one search offset is buffered is pending,
-        not a detection ValueError."""
-        sim, cap, full = rig
-        short = cap.samples[: sim.receiver.frame.preamble.n_samples // 2]
-        out = sim.receiver.receive(short, 0, cap.search_stop, stream_end=False)
-        assert out.failure is not None
-        assert out.failure.code == "buffer_pending"
-        assert not out.detection.detected
-        with pytest.raises(ValueError):  # batch semantics unchanged
-            sim.receiver.receive(short, 0, cap.search_stop)
+
+def _stage_counters(obs) -> dict:
+    """Counter series, without the chunking- and cache-dependent ones."""
+    return {
+        (e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+        for e in obs.metrics.snapshot()["series"]
+        if e["kind"] == "counter" and not e["name"].startswith(("stream.", "opcache."))
+    }
+
+
+class TestStageEffectsMatchBatch:
+    """A streamed capture records the stage counters and spans of the batch
+    decode of the same samples: both run the receiver's one sequence."""
+
+    @staticmethod
+    def _rig(config):
+        obs = Observer()
+        sim = PacketSimulator(config=config, payload_bytes=6, rng=99, observer=obs)
+        cap = sim.make_capture(rng=3)
+        obs.tracer.clear()  # drop the synthesis spans
+        return obs, sim, cap
+
+    def test_fixed_capture_closed_early_counts_stages_like_batch(self, fast_config):
+        """Closing a fixed-length capture before its frame arrived records
+        one preamble search and no training solve, as batch does."""
+        obs_b, sim_b, cap = self._rig(fast_config)
+        batch = sim_b.receiver.receive(cap.samples[:-200], search_stop=cap.search_stop)
+        obs_s, sim_s, cap_s = self._rig(fast_config)
+        rx = StreamingReceiver(
+            sim_s.receiver,
+            capture_samples=cap_s.samples.size,
+            search_stop=cap_s.search_stop,
+            observer=obs_s,
+        )
+        outs = rx.push(cap_s.samples[:-200]) + rx.close()
+        assert len(outs) == 1
+        assert outs[0].failure.code == batch.failure.code == "truncated_capture"
+        streamed = _stage_counters(obs_s)
+        assert streamed == _stage_counters(obs_b)
+        assert streamed[("phy.preamble.searches_total", (("outcome", "hit"),))] == 1
+        assert ("training.solves_total", ()) not in streamed
+
+    def test_dfe_feeds_run_inside_the_equalize_span(self, fast_config, monkeypatch):
+        from repro.modem.dfe import DFEBlockSession
+
+        innermost: list = []
+        original = DFEBlockSession.feed
+
+        def feed(session, *args, **kwargs):
+            stack = current.tracer._stack
+            innermost.append(stack[-1].name if stack else None)
+            return original(session, *args, **kwargs)
+
+        monkeypatch.setattr(DFEBlockSession, "feed", feed)
+        trees = {}
+        for path in ("batch", "stream"):
+            current, sim, cap = self._rig(fast_config)
+            innermost.clear()
+            if path == "batch":
+                outs = [sim.receiver.receive(cap.samples, search_stop=cap.search_stop)]
+            else:
+                rx = StreamingReceiver(sim.receiver, search_stop=cap.search_stop)
+                outs = list(rx.run(chunks_of(cap.samples, 256)))
+            assert len(outs) == 1 and outs[0].crc_ok, path
+            assert innermost and set(innermost) == {"equalize"}, (path, innermost)
+            trees[path] = [s.name for s in current.tracer.roots]
+        assert trees["stream"] == trees["batch"] == [
+            "preamble",
+            "rotation",
+            "training",
+            "equalize",
+            "decode",
+        ]
 
 
 class TestPipelineCaptureFactory:
