@@ -8,6 +8,12 @@ grid**: the same ``DFEDemodulator`` workload decoded with the no-op
 observer and with a fully enabled metrics+tracing observer, interleaved
 pass-by-pass so both arms see the same thermal/scheduler environment.
 
+Protocol: each round decodes the grid once per arm, and the arm order
+rotates from round to round, so no arm always runs first (or right after
+another).  Each round yields a ``bare/disabled`` and a ``bare/enabled``
+throughput ratio; the gate and the reported overheads are the median
+per-round ratios over the rounds, with their quartiles.
+
 Reported numbers:
 
 * ``disabled_sym_per_s`` / ``enabled_sym_per_s`` — block-decode throughput
@@ -50,24 +56,23 @@ from repro.obs import NULL_OBSERVER, Observer
 OVERHEAD_BUDGET_PCT = 3.0
 
 
-def _median_rate(decode_pass, total_symbols: int, n_passes: int) -> float:
-    rates = []
-    for _ in range(n_passes):
-        t0 = time.perf_counter()
-        decode_pass()
-        rates.append(total_symbols / (time.perf_counter() - t0))
-    return statistics.median(rates)
-
-
-def _interleaved_ab(passes: dict, total_symbols: int, n_passes: int) -> dict[str, float]:
-    """Median throughput per arm, arms interleaved within each round."""
-    rates: dict[str, list[float]] = {name: [] for name in passes}
-    for _ in range(n_passes):
-        for name, fn in passes.items():
+def _rotated_rounds(passes: dict, total_symbols: int, n_rounds: int) -> dict[str, list[float]]:
+    """Throughput of every arm in every round; round ``r`` starts at arm
+    ``r mod n_arms`` and runs the others in cyclic order."""
+    order = list(passes)
+    rates: dict[str, list[float]] = {name: [] for name in order}
+    for r in range(n_rounds):
+        shift = r % len(order)
+        for name in order[shift:] + order[:shift]:
             t0 = time.perf_counter()
-            fn()
+            passes[name]()
             rates[name].append(total_symbols / (time.perf_counter() - t0))
-    return {name: statistics.median(rs) for name, rs in rates.items()}
+    return rates
+
+
+def _quartiles(values) -> list[float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round((q1 - 1.0) * 100.0, 2), round((q3 - 1.0) * 100.0, 2)]
 
 
 def _null_hook_costs(n_calls: int = 100_000) -> dict[str, float]:
@@ -92,7 +97,7 @@ def run_benchmark(
     k_branches: int = 16,
     n_packets: int = 48,
     n_symbols: int = 128,
-    n_passes: int = 5,
+    n_rounds: int = 11,
     seed: int = 7,
 ) -> dict:
     config = preset_for_rate(rate_bps)
@@ -117,17 +122,20 @@ def run_benchmark(
                 r.levels_q, g.levels_q, err_msg=f"{arm_name} packet {p} levels_q"
             )
 
-    medians = _interleaved_ab(
+    rates = _rotated_rounds(
         {
             "bare": lambda: bare.demodulate_block(z_block, n_symbols, (zeros, zeros)),
             "disabled": lambda: disabled.demodulate_block(z_block, n_symbols, (zeros, zeros)),
             "enabled": lambda: enabled.demodulate_block(z_block, n_symbols, (zeros, zeros)),
         },
         total,
-        n_passes,
+        n_rounds,
     )
-    overhead_pct = (medians["bare"] / medians["disabled"] - 1.0) * 100.0
-    enabled_pct = (medians["bare"] / medians["enabled"] - 1.0) * 100.0
+    ratios = {
+        arm: [b / a for b, a in zip(rates["bare"], rates[arm])] for arm in ("disabled", "enabled")
+    }
+    overhead_pct = (statistics.median(ratios["disabled"]) - 1.0) * 100.0
+    enabled_pct = (statistics.median(ratios["enabled"]) - 1.0) * 100.0
 
     return {
         "benchmark": "obs_overhead",
@@ -139,8 +147,8 @@ def run_benchmark(
             "seed": int(seed),
         },
         "protocol": {
-            "kind": "interleaved A/B block decode, median of passes",
-            "n_passes": int(n_passes),
+            "kind": "rounds in rotating arm order; median per-round ratio to the bare arm",
+            "n_rounds": int(n_rounds),
             "bit_exact_checked": True,
             "budget_pct": OVERHEAD_BUDGET_PCT,
         },
@@ -149,11 +157,13 @@ def run_benchmark(
             "numpy": np.__version__,
             "processor": platform.machine(),
         },
-        "bare_sym_per_s": round(medians["bare"], 1),
-        "disabled_sym_per_s": round(medians["disabled"], 1),
-        "enabled_sym_per_s": round(medians["enabled"], 1),
+        "bare_sym_per_s": round(statistics.median(rates["bare"]), 1),
+        "disabled_sym_per_s": round(statistics.median(rates["disabled"]), 1),
+        "enabled_sym_per_s": round(statistics.median(rates["enabled"]), 1),
         "disabled_overhead_pct": round(overhead_pct, 2),
         "enabled_overhead_pct": round(enabled_pct, 2),
+        "overhead_pct_iqr": {arm: _quartiles(r) for arm, r in ratios.items()},
+        "rounds_sym_per_s": {arm: [round(x, 1) for x in r] for arm, r in rates.items()},
         **_null_hook_costs(),
     }
 
@@ -178,9 +188,10 @@ def render(payload: dict) -> str:
 def test_bench_obs_overhead():
     """Slow-lane gate: disabled-mode instrumentation overhead under budget.
 
-    The comparison is in-run (same grid, interleaved passes), so the
-    assertion is robust to machine speed; a small negative overhead just
-    means noise, which the budget absorbs.
+    The comparison is in-run (same grid, rotating arm order, median
+    per-round ratio), so the assertion is robust to machine speed and
+    drift; a small negative overhead just means noise, which the budget
+    absorbs.
     """
     payload = run_benchmark()
     emit("BENCH_obs_table", render(payload))
@@ -201,7 +212,7 @@ def main(argv=None) -> int:
     parser.add_argument("--k-branches", type=int, default=16)
     parser.add_argument("--packets", type=int, default=48)
     parser.add_argument("--symbols", type=int, default=128)
-    parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=11)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     payload = run_benchmark(
@@ -209,7 +220,7 @@ def main(argv=None) -> int:
         k_branches=args.k_branches,
         n_packets=args.packets,
         n_symbols=args.symbols,
-        n_passes=args.passes,
+        n_rounds=args.rounds,
         seed=args.seed,
     )
     emit("BENCH_obs_table", render(payload))

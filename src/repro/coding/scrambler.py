@@ -30,10 +30,16 @@ class Scrambler:
         self.seed = seed
         if not 1 <= seed < (1 << order):
             raise ValueError(f"seed must fit in {order} bits and be nonzero")
+        self._keystreams: dict[int, np.ndarray] = {}
 
     def keystream(self, n_bits: int) -> np.ndarray:
-        """First ``n_bits`` bits of the keystream."""
-        return LFSR(self.order, seed=self.seed).run(n_bits)
+        """First ``n_bits`` bits of the keystream (a fresh array).
+
+        The LFSR runs once per length; later calls copy the cached bits.
+        """
+        if n_bits not in self._keystreams:
+            self._keystreams[n_bits] = LFSR(self.order, seed=self.seed).run(n_bits)
+        return self._keystreams[n_bits].copy()
 
     def scramble_bits(self, bits: np.ndarray) -> np.ndarray:
         """XOR a bit array with the keystream (involutive)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.gray import gray_map, gray_unmap
-from repro.utils.bits import int_to_bits
 
 __all__ = ["PQAMConstellation"]
 
@@ -31,6 +30,9 @@ class PQAMConstellation:
         # Gray label for each level index, and its inverse.
         self._gray = gray_map(self.levels_per_axis)
         self._ungray = gray_unmap(self.levels_per_axis)
+        # Row k: the MSB-first Gray bits of level k.
+        shifts = np.arange(self.bits_per_axis - 1, -1, -1)
+        self._gray_bits = ((self._gray[:, None] >> shifts) & 1).astype(np.uint8)
         m = self.levels_per_axis
         self.axis_amplitudes = (2.0 * np.arange(m) / (m - 1)) - 1.0 if m > 1 else np.zeros(1)
 
@@ -91,12 +93,8 @@ class PQAMConstellation:
         levels_q = np.asarray(levels_q)
         if levels_i.shape != levels_q.shape:
             raise ValueError("I and Q level arrays must have equal length")
-        b = self.bits_per_axis
-        out = np.empty((levels_i.size, 2 * b), dtype=np.uint8)
-        for n, (ki, kq) in enumerate(zip(levels_i, levels_q)):
-            out[n, :b] = int_to_bits(int(self._gray[ki]), b)
-            out[n, b:] = int_to_bits(int(self._gray[kq]), b)
-        return out.ravel()
+        table = self._gray_bits
+        return np.concatenate((table[levels_i], table[levels_q]), axis=-1).ravel()
 
     def symbol_index(self, level_i: int, level_q: int) -> int:
         """Flat symbol index (I-major) of a level pair."""

@@ -295,15 +295,13 @@ class PhyReceiver:
         search_start: int,
         search_stop: int | None,
         detection: PreambleDetection | None = None,
-        coarse_offset: int | None = None,
     ) -> ReceiverOutput:
         """The stage sequence on capture buffer ``x`` (a complex host array).
 
         ``detection`` is a first-pass search over ``x`` that already ran
         (the streaming receiver commits one mid-stream); without it the
-        first pass runs here, its coarse scan skipped when the caller
-        passes the coarse minimum as ``coarse_offset``.  Both receivers
-        decode through this one method.
+        first pass runs here.  Both receivers decode through this one
+        method.
         """
         frame = self.frame
         cfg = self.config
@@ -313,10 +311,7 @@ class PhyReceiver:
         with obs.span("preamble") as det_span:
             if detection is None:
                 detection = frame.preamble.detect(
-                    x,
-                    search_start=search_start,
-                    search_stop=search_stop,
-                    coarse_offset=coarse_offset,
+                    x, search_start=search_start, search_stop=search_stop
                 )
             detection = self._retry_detection(x, detection, events)
             if obs.enabled:

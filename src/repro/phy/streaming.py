@@ -6,9 +6,10 @@ split anywhere including mid-preamble or mid-training — while emitting the
 *identical* :class:`~repro.phy.receiver.ReceiverOutput` (failure, stage
 events, stage metrics and raised exceptions included) that
 ``receiver.receive`` produces on the whole capture.  The stream runs no
-stage of its own: a detector scans the incoming samples, then the
-receiver's one stage sequence decodes the buffer.  The bit-identity is
-pinned by ``tests/phy/test_streaming_equivalence.py`` and the golden walls.
+stage of its own: the receiver's preamble search commits once its window
+is buffered, then the receiver's one stage sequence decodes the buffer.
+The bit-identity is pinned by ``tests/phy/test_streaming_equivalence.py``
+and the golden walls.
 
 **Capture model.**  A stream is a sequence of *captures* — the unit the
 batch receiver decodes.  Captures are delimited either by a fixed
@@ -18,16 +19,14 @@ mid-push, before the capture boundary) or by explicit
 one output, equal to ``receiver.receive(capture, search_start, search_stop)``
 on the concatenated samples.
 
-**Incremental preamble search.**  The batch detector's coarse scan is a
-running ``min`` over slice-local costs (each candidate offset reads only
-``x[off : off + k]`` — see :meth:`~repro.modem.preamble.Preamble.offset_cost`),
-so the scan streams: a rolling ``(cost, offset)`` tuple-min advances as far
-as the buffered samples allow after every chunk.  With a bounded search
-window the scan *commits* once every coarse offset and the fine-pass margin
-are buffered; the committed detection equals the batch first pass by
-construction.  With an unbounded window the coarse minimum is handed to the
-stage sequence at capture end as a ``coarse_offset`` hint, skipping the
-re-scan.
+**Commit by detect.**  The batch first pass,
+:meth:`~repro.modem.preamble.Preamble.detect` over ``search_start ..
+search_stop``, reads only ``x[search_start : search_stop + k]`` (``k`` the
+reference length).  So with a bounded search window the stream *commits*
+once ``search_stop + k`` samples are buffered: it runs that same ``detect``
+on the buffered prefix, which is the batch first pass on the same samples.
+An unbounded window is searched at the capture's end by the stage sequence,
+as in batch.
 
 **One certainty rule.**  The stages run once a committed detection's whole
 frame is buffered.  Every stage reads only the frame's samples and rotation
@@ -72,7 +71,7 @@ __all__ = ["StreamingReceiver"]
 log = get_logger(__name__)
 
 # Capture-lifecycle states.
-_SCANNING = "scanning"  # pre-detection: incremental coarse scan running
+_SCANNING = "scanning"  # pre-detection: buffering the search window
 _WAITING = "waiting"  # committed detection: waiting for its whole frame
 _DEFER = "defer"  # decoded at capture end, on the whole buffer
 _DONE = "done"  # output emitted; draining to the capture boundary
@@ -150,6 +149,10 @@ class StreamingReceiver:
             raise ValueError("capture_samples must be positive")
         if max_buffered_samples is not None and max_buffered_samples < 1:
             raise ValueError("max_buffered_samples must be positive")
+        if search_start < 0:
+            # The preamble search rejects it; a stream would reject it at
+            # every push of every capture.
+            raise ValueError("search_start must be non-negative")
         self._inner = receiver
         self.capture_samples = capture_samples
         self.search_start = int(search_start)
@@ -177,11 +180,6 @@ class StreamingReceiver:
         self._buf: _GrowBuffer | None = None
         self._fill = 0  # samples ingested into the current capture
         self._state = _SCANNING
-        # Incremental coarse-scan state: the detector tail carried across
-        # chunk boundaries.
-        self._matched = None  # (y, skip, ref_power) of the primary search
-        self._coarse_next = self.search_start
-        self._coarse_best: tuple[float, int] | None = None
         self._detection: PreambleDetection | None = None  # committed first pass
         self._frame_end = 0  # buffered samples the committed frame needs
 
@@ -301,50 +299,24 @@ class StreamingReceiver:
             if elapsed > 0:
                 self._obs.gauge("stream.sustained_pps", self.packets_emitted / elapsed)
 
-    # ---------------------------------------------------------------- scan
+    # -------------------------------------------------------------- commit
 
     def _advance_scan(self) -> None:
-        """Advance the incremental coarse scan; commit detection when the
-        batch detector's full first-pass window is buffered."""
-        preamble = self._inner.frame.preamble
-        if self._matched is None:
-            self._matched = preamble.matched_reference()
-        y, _skip, _ref_power = self._matched
-        k = y.size
-        x = self._buf.view()
-        avail = self._buf.size
-        stride = preamble.default_coarse_stride
+        """Commit the batch first-pass detection once its search window is
+        buffered."""
         sstop = self.search_stop
-        # The running tuple-min over (cost, offset) is exactly the batch
-        # coarse pass's min(); evaluating each offset as soon as its slice
-        # is buffered gives the same floats (slice-local costs).
-        limit = avail - k
-        while self._coarse_next <= limit and (sstop is None or self._coarse_next <= sstop):
-            cand = (
-                preamble.offset_cost(x, self._coarse_next, self._matched),
-                self._coarse_next,
-            )
-            if self._coarse_best is None or cand < self._coarse_best:
-                self._coarse_best = cand
-            self._coarse_next += stride
         if sstop is None:
-            return  # unbounded window: can only finalise at capture end
+            return  # unbounded window: searched at capture end
         if self.search_start > sstop:
             # Degenerate window: the batch detector raises "empty search
             # range" — the stage sequence reproduces it at capture end.
             self._state = _DEFER
             return
-        if self._coarse_next <= sstop or avail < sstop + k:
-            return  # scan or fine-pass margin still incomplete
-        # Commit: the batch first-pass detection over any longer buffer is
-        # now fully determined by the buffered prefix.
         inner = self._inner
-        detection = preamble.detect(
-            x,
-            search_start=self.search_start,
-            search_stop=sstop,
-            coarse_offset=self._coarse_best[1],
-        )
+        preamble = inner.frame.preamble
+        if self._buf.size < sstop + preamble.n_samples:
+            return
+        detection = preamble.detect(self._buf.view(), self.search_start, sstop)
         self._detection = detection
         self._frame_end = detection.offset + inner.frame_samples_after_offset()
         if (not detection.detected and inner.hardened) or (
@@ -362,12 +334,17 @@ class StreamingReceiver:
         """Run the receiver's stages on the buffered prefix, which now holds
         the committed detection's whole frame."""
         x = self._backend.to_host(self._buf.view())
-        self._emit(
-            self._inner._run_stages(
+        try:
+            output = self._inner._run_stages(
                 x, self.search_start, self.search_stop, detection=self._detection
-            ),
-            outputs,
-        )
+            )
+        except Exception:
+            # The capture raised once, as batch does: later pushes drain it
+            # to its boundary, which emits nothing.
+            self._state = _DONE
+            self._buf = None
+            raise
+        self._emit(output, outputs)
 
     def _emit(self, output: ReceiverOutput, outputs: list[ReceiverOutput]) -> None:
         """Deliver one capture output and release the capture buffer."""
@@ -385,14 +362,9 @@ class StreamingReceiver:
         try:
             if self._state != _DONE:
                 x = self._backend.to_host(self._buf.view())
-                hint = None if self._detection is not None else self._coarse_hint()
                 self._emit(
                     self._inner._run_stages(
-                        x,
-                        self.search_start,
-                        self.search_stop,
-                        detection=self._detection,
-                        coarse_offset=hint,
+                        x, self.search_start, self.search_stop, detection=self._detection
                     ),
                     outputs,
                 )
@@ -402,23 +374,6 @@ class StreamingReceiver:
             self.captures_completed += 1
             self._reset_capture()
         return outputs
-
-    def _coarse_hint(self) -> int | None:
-        """The incremental scan's coarse minimum, iff it covered exactly the
-        offsets the batch first pass will scan (then the hint is an identity
-        optimisation; otherwise the first pass re-scans from scratch)."""
-        if self._coarse_best is None:
-            return None
-        y, skip, _ = self._matched
-        stop = self._buf.size - y.size - skip
-        if self.search_stop is not None:
-            stop = min(self.search_stop, stop)
-        if stop < self.search_start:
-            return None
-        best_off = self._coarse_best[1]
-        if self._coarse_next <= stop or not self.search_start <= best_off <= stop:
-            return None
-        return best_off
 
     def _drop_capture(self, outputs: list[ReceiverOutput]) -> None:
         """Backpressure: abandon the capture (policy, not equivalence)."""

@@ -46,3 +46,19 @@ class TestKeying:
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
             Scrambler(seed=0)
+
+
+class TestKeystreamCache:
+    def test_returned_keystream_is_a_fresh_array(self):
+        s = Scrambler()
+        first = s.keystream(64)
+        expected = first.copy()
+        first ^= 1
+        np.testing.assert_array_equal(s.keystream(64), expected)
+
+    def test_cached_keystream_is_the_lfsr_prefix(self):
+        s = Scrambler(seed=0x123)
+        long = s.keystream(300)
+        np.testing.assert_array_equal(s.keystream(100), long[:100])
+        np.testing.assert_array_equal(Scrambler(seed=0x123).keystream(300), long)
+

@@ -240,8 +240,8 @@ def build_streaming_cases() -> dict[str, tuple[dict, dict]]:
         ]
 
     def preamble_split_3(x, off):
-        # Three seams inside the 800-sample preamble: the coarse scan and
-        # the matched reference both straddle chunk boundaries.
+        # Three seams inside the 800-sample preamble: the search window
+        # and the matched reference both straddle chunk boundaries.
         cuts = [off + 100, off + 350, off + 620]
         edges = [0, *cuts, x.size]
         return [b - a for a, b in zip(edges, edges[1:])]

@@ -4,9 +4,9 @@ Each frozen case stores a capture waveform, the exact chunk partition it was
 streamed with, and the full receiver record (payload, levels, detection,
 failure, stage events) produced at freeze time.  Replaying the stored chunks
 through :class:`~repro.phy.streaming.StreamingReceiver` must reproduce that
-record *bit-exactly* — this is the wall behind which the incremental scan,
-the hand-off to the receiver's stage sequence, and the array-backend seam
-can be rewritten.
+record *bit-exactly* — this is the wall behind which the stream's preamble
+commit, the hand-off to the receiver's stage sequence, and the array-backend
+seam can be rewritten.
 
 The four committed cases pin the seam-sensitive shapes: a clean decode, a
 preamble split across three chunk boundaries, a truncated final chunk (the

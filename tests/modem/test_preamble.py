@@ -8,6 +8,8 @@ from repro.channel.awgn import add_awgn
 from repro.modem.dsm_pqam import DsmPqamModulator
 from repro.modem.preamble import Preamble, RotationCorrector
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def preamble(fast_config, fast_array):
@@ -97,6 +99,11 @@ class TestDetection:
     def test_short_input_rejected(self, preamble):
         with pytest.raises(ValueError):
             preamble.detect(np.zeros(10, dtype=complex))
+
+    def test_negative_search_start_rejected(self, preamble, fast_config, fast_array):
+        x = received_with_offset(preamble, fast_config, fast_array, 10)
+        with pytest.raises(ValueError, match="search_start"):
+            preamble.detect(x, search_start=-1, search_stop=40)
 
     def test_missing_reference_rejected(self, fast_config):
         p = Preamble(fast_config, n_slots=16)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.gray import gray_map
 from repro.modem.symbols import PQAMConstellation
+from repro.utils.bits import int_to_bits
 
 
 @pytest.fixture(scope="module", params=[4, 16, 64, 256])
@@ -54,6 +56,24 @@ class TestBits:
         li, lq = constellation.bits_to_levels(bits)
         back = constellation.levels_to_bits(li, lq)
         np.testing.assert_array_equal(back, bits)
+
+    def test_table_lookup_equals_per_slot_expansion(self, constellation):
+        """Every level pair maps to the Gray labels' MSB-first bits."""
+        m, b = constellation.levels_per_axis, constellation.bits_per_axis
+        li, lq = (a.ravel() for a in np.meshgrid(np.arange(m), np.arange(m), indexing="ij"))
+        expected = np.concatenate(
+            [
+                np.concatenate([int_to_bits(int(gray_map(m)[i]), b), int_to_bits(int(gray_map(m)[q]), b)])
+                for i, q in zip(li, lq)
+            ]
+        )
+        got = constellation.levels_to_bits(li, lq)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+
+    def test_mismatched_level_shapes_rejected(self, constellation):
+        with pytest.raises(ValueError):
+            constellation.levels_to_bits(np.zeros(3, dtype=int), np.zeros(2, dtype=int))
 
     def test_wrong_bit_count_rejected(self, constellation):
         with pytest.raises(ValueError):

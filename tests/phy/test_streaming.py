@@ -2,8 +2,8 @@
 
 The bit-identity contract lives in ``test_streaming_equivalence.py`` and
 the golden walls; this file covers the machinery around it — capture
-delimiting, the run() generator, backpressure policy, the ``stream.*``
-gauges, the batch truncation ladder on a short buffer, and the stage
+delimiting, the run() generator, a capture whose stages raise,
+backpressure policy, the ``stream.*`` gauges, the batch truncation ladder on a short buffer, and the stage
 counters and spans a streamed capture records through the receiver's one
 stage sequence.
 """
@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import FailureStage
+from repro.errors import EqualizationError, FailureStage
 from repro.modem.config import ModemConfig
+from repro.modem.dfe import DFEDemodulator
 from repro.obs import Observer, use_observer
 from repro.phy.pipeline import PacketSimulator
+from repro.phy.receiver import PhyReceiver
 from repro.phy.streaming import StreamingReceiver, _GrowBuffer
 
 
@@ -67,6 +69,10 @@ class TestCaptureLifecycle:
         assert len(outs) == 1
         assert rx.close() == []
         assert rx.close() == []
+
+    def test_negative_search_start_rejected(self, sim):
+        with pytest.raises(ValueError, match="search_start"):
+            StreamingReceiver(sim.receiver, search_start=-1, search_stop=100)
 
     def test_non_1d_chunk_rejected(self, sim):
         rx = StreamingReceiver(sim.receiver)
@@ -132,6 +138,77 @@ class TestCaptureLifecycle:
         assert len(outs) == 1 and outs[0].crc_ok
         assert rx.buffered_samples == 0  # capture buffer freed at emission
         assert rx.push(pad) == []  # draining to the boundary re-buffers nothing
+
+
+class TestRaisingCapture:
+    """A capture whose stages raise raises once, as ``receive`` does, and
+    the stream carries on with the next capture."""
+
+    @pytest.fixture
+    def rig(self, fast_config, monkeypatch):
+        sim = PacketSimulator(config=fast_config, payload_bytes=6, rng=99, hardened=False)
+        runs = []
+        run_stages = PhyReceiver._run_stages
+
+        def counting(self, *args, **kwargs):
+            runs.append(1)
+            return run_stages(self, *args, **kwargs)
+
+        monkeypatch.setattr(PhyReceiver, "_run_stages", counting)
+        return sim, runs
+
+    @staticmethod
+    def _push_all(rx, chunks) -> tuple[list, int]:
+        outs, raises = [], 0
+        for chunk in chunks:
+            try:
+                outs.extend(rx.push(chunk))
+            except EqualizationError:
+                raises += 1
+        return outs, raises
+
+    def test_end_capture_mode_raises_once(self, rig, monkeypatch):
+        sim, runs = rig
+
+        def fail(self, *args, **kwargs):
+            raise EqualizationError("injected")
+
+        monkeypatch.setattr(DFEDemodulator, "demodulate", fail)
+        cap = sim.make_capture(rng=3)
+        rx = StreamingReceiver(sim.receiver, search_stop=cap.search_stop)
+        outs, raises = self._push_all(rx, chunks_of(cap.samples, 256))
+        assert (outs, raises, len(runs)) == ([], 1, 1)
+        assert rx.close() == []
+        assert len(runs) == 1 and rx.captures_completed == 1
+
+    def test_fixed_capture_mode_carries_on_after_a_raise(self, rig, monkeypatch):
+        sim, runs = rig
+        demodulate = DFEDemodulator.demodulate
+        calls = []
+
+        def fail_first(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise EqualizationError("injected")
+            return demodulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(DFEDemodulator, "demodulate", fail_first)
+        caps = [sim.make_capture(rng=seed) for seed in (3, 4)]
+        n = max(cap.samples.size for cap in caps) + 300
+        padded = [np.concatenate([c.samples, np.full(n - c.samples.size, c.samples[-1])]) for c in caps]
+        stop = max(cap.search_stop for cap in caps)
+        rx = StreamingReceiver(sim.receiver, capture_samples=n, search_stop=stop)
+        first, first_raises = self._push_all(rx, chunks_of(padded[0], 256))
+        second, second_raises = self._push_all(rx, chunks_of(padded[1], 256))
+        assert (first, first_raises, second_raises, len(second)) == ([], 1, 0, 1)
+        assert rx.close() == []
+        batch = sim.receiver.receive(padded[1], search_stop=stop)
+        out = second[0]
+        assert out.crc_ok and batch.crc_ok and out.payload == batch.payload == caps[1].payload
+        np.testing.assert_array_equal(out.levels_i, batch.levels_i)
+        np.testing.assert_array_equal(out.levels_q, batch.levels_q)
+        assert out.equalizer_mse == batch.equalizer_mse
+        assert out.detection == batch.detection and out.events == batch.events
 
 
 class TestBackpressure:
