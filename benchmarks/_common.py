@@ -3,17 +3,26 @@
 Every benchmark prints a paper-versus-measured table and also writes it to
 ``benchmarks/results/<name>.txt`` so the comparison survives pytest's
 output capture.
+
+Importing this module also puts ``tests/`` on ``sys.path``: the frozen
+scalar oracles the speed benches time against and assert identity with
+live there, as the ``reference`` package.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.experiments.batch import BatchRunner, GridTask
 from repro.experiments.common import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 __all__ = ["BatchRunner", "GridTask", "emit", "emit_json", "format_table"]
 

@@ -38,9 +38,10 @@ from _common import emit, emit_json, format_table
 from repro.channel.awgn import complex_awgn, noise_sigma_for_snr
 from repro.modem.config import preset_for_rate
 from repro.modem.dfe import DFEDemodulator
-from repro.modem.dfe_reference import ReferenceDFEDemodulator
 from repro.modem.references import ReferenceBank, assemble_waveform
 from repro.modem.symbols import PQAMConstellation
+
+from reference.dfe_reference import ReferenceDFEDemodulator
 
 #: Mixed operating SNRs so the grid exercises clean and errorful decodes.
 GRID_SNRS_DB = (30.0, 22.0, 14.0)

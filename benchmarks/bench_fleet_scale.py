@@ -39,6 +39,8 @@ from _common import emit, emit_json, format_table
 from repro.faults.network import NETWORK_SCENARIOS
 from repro.network.fleet import FleetConfig, FleetSimulator
 
+from reference.fleet_reference import ReferenceFleetSimulator
+
 #: Fleet sizes measured for the vectorized engine.
 SIZES = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -77,10 +79,10 @@ def build_config(n_tags: int) -> FleetConfig:
     )
 
 
-def run_once(n_tags: int, engine: str):
+def run_once(n_tags: int, simulator: type[FleetSimulator]):
     cfg = build_config(n_tags)
     plan = NETWORK_SCENARIOS[SCENARIO](cfg.duration_s)
-    sim = FleetSimulator(cfg, fault_plan=plan, root_seed=SEED, engine=engine)
+    sim = simulator(cfg, fault_plan=plan, root_seed=SEED)
     t0 = time.perf_counter()
     result = sim.run()
     return time.perf_counter() - t0, result
@@ -101,11 +103,11 @@ def run_benchmark() -> dict:
     reference_wall: dict[int, float] = {}
 
     for n_tags in SIZES:
-        wall, result = run_once(n_tags, "store")
+        wall, result = run_once(n_tags, FleetSimulator)
         store_wall[n_tags] = wall
         store_rows[n_tags] = result.row()
         if n_tags in IDENTITY_SIZES or n_tags == GATED_SIZE:
-            ref_wall, ref_result = run_once(n_tags, "reference")
+            ref_wall, ref_result = run_once(n_tags, ReferenceFleetSimulator)
             reference_wall[n_tags] = ref_wall
             if n_tags in IDENTITY_SIZES:
                 assert_bit_identical(ref_result, result, n_tags)

@@ -36,13 +36,14 @@ from _common import emit, emit_json, format_table
 
 from repro.channel.link import OpticalLink
 from repro.lcm.response import LCParams, LCResponseModel
-from repro.lcm.response_reference import ReferenceLCResponseModel
 from repro.modem.config import ModemConfig
 from repro.optics.geometry import LinkGeometry
 from repro.phy.frame import FrameFormat
 from repro.phy.pipeline import PacketSimulator
 from repro.phy.transmitter import PhyTransmitter
 from repro.utils.opcache import OpCache
+
+from reference.response_reference import ReferenceLCResponseModel
 
 EQUIV_TOL = 1e-12
 

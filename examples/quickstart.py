@@ -22,11 +22,12 @@ from repro import (
     ScenarioSpec,
     Session,
 )
+from repro.api import PhyKnobs
 
 
 def main() -> None:
     # The one-stop path: a validated spec, an observed session, a report.
-    spec = ScenarioSpec(distance_m=3.0, roll_deg=25.0, payload_bytes=32)
+    spec = ScenarioSpec(distance_m=3.0, payload_bytes=32, phy=PhyKnobs(roll_deg=25.0))
     report = Session(spec).run(n_packets=10)
     s = report.summary
     print(f"scenario        : {spec.describe()}")

@@ -19,7 +19,7 @@ def trajectory_summary(sim, n_packets: int, gen) -> dict:
     only ``gen`` (one payload draw + one noise stream per packet); any
     observer metrics ride alongside without touching the RNG.
     """
-    bers, crcs = zip(*(sim._run_packet(rng=gen) for _ in range(n_packets)))
+    bers, crcs = zip(*(sim.run_packet(rng=gen) for _ in range(n_packets)))
     n_ok = int(sum(crcs))
     sim_time_s = float(sim.t_s)
     goodput_bps = (
@@ -86,7 +86,7 @@ class Session:
             raise ValueError(f"Session.stream() needs kind='stream', got {self.spec.kind!r}")
         if n_packets < 1:
             raise ValueError("n_packets must be >= 1")
-        size = self.spec.chunk_samples if chunk_samples is None else int(chunk_samples)
+        size = self.spec.stream.chunk_samples if chunk_samples is None else int(chunk_samples)
         if size < 1:
             raise ValueError("chunk_samples must be >= 1")
         obs = self.observer
@@ -97,7 +97,7 @@ class Session:
                 cap = sim.make_capture(rng=gen)
                 rx = sim.make_streaming_receiver(
                     search_stop=cap.search_stop,
-                    max_buffered_samples=self.spec.max_buffered_samples,
+                    max_buffered_samples=self.spec.stream.max_buffered_samples,
                     observer=obs,
                 )
                 for lo in range(0, cap.samples.size, size):
@@ -127,7 +127,7 @@ class Session:
             "crc_ok_rate": n_ok / len(outputs) if outputs else 0.0,
             "n_packets": len(outputs),
             "n_bits": bits,
-            "chunk_samples": self.spec.chunk_samples,
+            "chunk_samples": self.spec.stream.chunk_samples,
         }
 
     def _run_packet(self, n_packets: int, rng) -> dict:
@@ -147,7 +147,7 @@ class Session:
     def _run_mobility(self, n_packets: int, rng) -> dict:
         sim = self.spec.build(self.observer)
         gen = ensure_rng(self.spec.seed + 1 if rng is None else rng)
-        bers, crcs = zip(*(sim._run_packet(rng=gen) for _ in range(n_packets)))
+        bers, crcs = zip(*(sim.run_packet(rng=gen) for _ in range(n_packets)))
         return {
             "ber": float(np.mean(bers)),
             "crc_ok_rate": float(np.mean(crcs)),
@@ -161,8 +161,9 @@ class Session:
 
     def _run_arq(self, n_frames: int, rng) -> dict:
         arq = self.spec.build(self.observer)
-        stats = arq._simulate(
-            self.spec.success_probability,
+        mac = self.spec.mac
+        stats = arq.simulate(
+            mac.success_probability,
             n_frames,
             rng=self.spec.seed if rng is None else rng,
         )
@@ -172,17 +173,18 @@ class Session:
             "attempts": stats.attempts,
             "mean_attempts": stats.mean_attempts,
             "efficiency": stats.efficiency(),
-            "expected_attempts": arq.expected_attempts(self.spec.success_probability),
+            "expected_attempts": arq.expected_attempts(mac.success_probability),
         }
 
     def _run_watchdog(self, n_frames: int, rng) -> dict:
         from repro.mac.arq import StopAndWaitARQ
 
         dog = self.spec.build(self.observer)
-        stats = dog._simulate(
-            lambda rate: self.spec.success_probability,
+        mac = self.spec.mac
+        stats = dog.simulate(
+            lambda rate: mac.success_probability,
             n_frames,
-            arq=StopAndWaitARQ(max_attempts=self.spec.max_attempts),
+            arq=StopAndWaitARQ(max_attempts=mac.max_attempts),
             rng=self.spec.seed if rng is None else rng,
         )
         return {

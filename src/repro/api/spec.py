@@ -13,18 +13,16 @@ level and moves everything else into per-kind groups::
                  trajectory=TrajectoryKnobs("drive_by_reader",
                                             packet_interval_s=0.02))
 
-Compatibility: the old flat keyword form (``ScenarioSpec(roll_deg=25.0)``)
-still works — the constructor maps flat knobs into the active kind's
-group and emits one ``DeprecationWarning`` per process.  A flat knob that
-belongs to a group the active kind does not use is a validation error
+A knob group the active kind does not read is a validation error
 (reported alongside every other violation), where v1 silently accepted
-it.  ``describe()`` output is byte-identical to v1 for every v1 kind, so
-no sweep-journal fingerprint moves.
+it; v1's flat knob keywords (``ScenarioSpec(roll_deg=25.0)``) are unknown
+keywords, a ``TypeError``.  ``describe()`` output is byte-identical to v1
+for every v1 kind, so no sweep-journal fingerprint moves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 from repro.api.knobs import (
     MacKnobs,
@@ -35,7 +33,6 @@ from repro.api.knobs import (
 )
 from repro.channel.trajectory import Trajectory
 from repro.obs import ensure_observer
-from repro.utils.deprecation import warn_once
 
 __all__ = ["KIND_GROUPS", "SCENARIO_KINDS", "ScenarioSpec"]
 
@@ -58,28 +55,6 @@ _GROUP_TYPES = {
     "trajectory": TrajectoryKnobs,
     "mac": MacKnobs,
     "stream": StreamKnobs,
-}
-
-#: Legacy flat knob -> the group(s) that own it (two groups share the
-#: re-sync knobs; the active kind disambiguates).
-_FLAT_KNOBS: dict[str, tuple[str, ...]] = {
-    "roll_deg": ("phy",),
-    "yaw_deg": ("phy",),
-    "bank_mode": ("phy",),
-    "ambient": ("phy",),
-    "fidelity": ("phy",),
-    "spectrum": ("phy",),
-    "extinction_db": ("phy",),
-    "temperature_c": ("phy",),
-    "roll_rate_deg_s": ("mobility",),
-    "packet_interval_s": ("trajectory",),
-    "sync_interval_slots": ("mobility", "trajectory"),
-    "resync": ("mobility", "trajectory"),
-    "success_probability": ("mac",),
-    "max_attempts": ("mac",),
-    "fail_threshold": ("mac",),
-    "chunk_samples": ("stream",),
-    "max_buffered_samples": ("stream",),
 }
 
 _SHARED_FIELDS = ("kind", "rate_bps", "distance_m", "payload_bytes", "k_branches", "seed")
@@ -123,21 +98,7 @@ class ScenarioSpec:
         trajectory: TrajectoryKnobs | Trajectory | str | None = None,
         mac: MacKnobs | None = None,
         stream: StreamKnobs | None = None,
-        **flat,
     ):
-        unknown = [k for k in flat if k not in _FLAT_KNOBS]
-        if unknown:
-            raise TypeError(
-                "ScenarioSpec() got an unexpected keyword argument "
-                f"{unknown[0]!r}"
-            )
-        if flat:
-            warn_once(
-                "ScenarioSpec.flat_kwargs",
-                "flat ScenarioSpec knob kwargs are deprecated; pass nested "
-                "knob groups instead (e.g. phy=PhyKnobs(roll_deg=...), "
-                "mac=MacKnobs(success_probability=...))",
-            )
         problems: list[str] = []
         if kind not in SCENARIO_KINDS:
             problems.append(f"kind {kind!r} not in {SCENARIO_KINDS}")
@@ -168,25 +129,9 @@ class ScenarioSpec:
                 problems.append(f"{name} knobs are not available for kind={kind!r}")
                 groups[name] = None
 
-        # Route legacy flat knobs into the active kind's group.
-        overrides: dict[str, dict] = {}
-        for key, value in flat.items():
-            owners = _FLAT_KNOBS[key]
-            owner = next((g for g in owners if g in active), None)
-            if owner is None:
-                names = " or ".join(_GROUP_TYPES[g].__name__ for g in owners)
-                problems.append(
-                    f"{key!r} belongs to {names} and is not available for "
-                    f"kind={kind!r}"
-                )
-                continue
-            overrides.setdefault(owner, {})[key] = value
-
         for name in active:
-            base = groups[name] if groups[name] is not None else _GROUP_TYPES[name]()
-            if name in overrides:
-                base = _dc_replace(base, **overrides[name])
-            groups[name] = base
+            if groups[name] is None:
+                groups[name] = _GROUP_TYPES[name]()
 
         # ----------------------------------------------------- validation
         if rate_bps <= 0:
@@ -217,64 +162,6 @@ class ScenarioSpec:
         for name in _GROUP_FIELDS:
             object.__setattr__(self, name, groups[name])
 
-    # -------------------------------------------------- flat read access
-    # v1 exposed every knob as a top-level attribute; keep reads working
-    # (values come from the active group, or that group's default).
-
-    @property
-    def roll_deg(self) -> float:
-        return (self.phy or PhyKnobs()).roll_deg
-
-    @property
-    def yaw_deg(self) -> float:
-        return (self.phy or PhyKnobs()).yaw_deg
-
-    @property
-    def bank_mode(self) -> str:
-        return (self.phy or PhyKnobs()).bank_mode
-
-    @property
-    def ambient(self) -> str | None:
-        return (self.phy or PhyKnobs()).ambient
-
-    @property
-    def roll_rate_deg_s(self) -> float:
-        return (self.mobility or MobilityKnobs()).roll_rate_deg_s
-
-    @property
-    def sync_interval_slots(self) -> int:
-        group = self.mobility if self.mobility is not None else self.trajectory
-        return group.sync_interval_slots if group is not None else 64
-
-    @property
-    def resync(self) -> bool:
-        group = self.mobility if self.mobility is not None else self.trajectory
-        return group.resync if group is not None else True
-
-    @property
-    def packet_interval_s(self) -> float:
-        return (self.trajectory or TrajectoryKnobs()).packet_interval_s
-
-    @property
-    def success_probability(self) -> float | None:
-        return (self.mac or MacKnobs()).success_probability
-
-    @property
-    def max_attempts(self) -> int:
-        return (self.mac or MacKnobs()).max_attempts
-
-    @property
-    def fail_threshold(self) -> int:
-        return (self.mac or MacKnobs()).fail_threshold
-
-    @property
-    def chunk_samples(self) -> int:
-        return (self.stream or StreamKnobs()).chunk_samples
-
-    @property
-    def max_buffered_samples(self) -> int | None:
-        return (self.stream or StreamKnobs()).max_buffered_samples
-
     # ------------------------------------------------------------ describe
 
     def describe(self) -> dict:
@@ -294,7 +181,7 @@ class ScenarioSpec:
                 k_branches=self.k_branches,
             )
         if self.kind in ("packet", "stream"):
-            phy = self.phy or PhyKnobs()
+            phy = self.phy
             base.update(
                 roll_deg=phy.roll_deg,
                 yaw_deg=phy.yaw_deg,
@@ -311,13 +198,13 @@ class ScenarioSpec:
                     temperature_c=phy.temperature_c,
                 )
         if self.kind == "stream":
-            stream = self.stream or StreamKnobs()
+            stream = self.stream
             base.update(
                 chunk_samples=stream.chunk_samples,
                 max_buffered_samples=stream.max_buffered_samples,
             )
         if self.kind == "mobility":
-            mob = self.mobility or MobilityKnobs()
+            mob = self.mobility
             base.update(
                 roll_rate_deg_s=mob.roll_rate_deg_s,
                 sync_interval_slots=mob.sync_interval_slots,
@@ -329,34 +216,29 @@ class ScenarioSpec:
                 payload_bytes=self.payload_bytes,
                 k_branches=self.k_branches,
             )
-            base.update((self.trajectory or TrajectoryKnobs()).describe())
+            base.update(self.trajectory.describe())
         if self.kind in ("arq", "watchdog"):
-            mac = self.mac or MacKnobs()
+            mac = self.mac
             base.update(
                 success_probability=mac.success_probability,
                 max_attempts=mac.max_attempts,
             )
-        if self.kind == "watchdog":
-            base["fail_threshold"] = self.fail_threshold
+            if self.kind == "watchdog":
+                base["fail_threshold"] = mac.fail_threshold
         return base
 
     def replace(self, **changes) -> "ScenarioSpec":
-        """A copy with fields changed (re-validated).
-
-        Accepts shared fields, group objects, and legacy flat knob names
-        (routed into the active group, like the constructor).
-        """
+        """A copy with shared fields or knob groups changed (re-validated)."""
         current: dict = {name: getattr(self, name) for name in _SHARED_FIELDS}
         current.update({name: getattr(self, name) for name in _GROUP_FIELDS})
         for key, value in changes.items():
-            if key in current or key in _FLAT_KNOBS:
-                current[key] = value
-            else:
+            if key not in current:
                 raise TypeError(f"ScenarioSpec.replace() got unknown field {key!r}")
+            current[key] = value
         # Changing kind drops groups the new kind does not read.
         active = KIND_GROUPS.get(current["kind"], ())
         for name in _GROUP_FIELDS:
-            if name in current and name not in active and name not in changes:
+            if name not in active and name not in changes:
                 current[name] = None
         return ScenarioSpec(**current)
 
@@ -366,11 +248,11 @@ class ScenarioSpec:
         """The underlying harness object for this spec's kind."""
         observer = ensure_observer(observer)
         if self.kind in ("packet", "stream"):
-            from repro.experiments.common import _make_simulator
+            from repro.experiments.common import make_simulator
             from repro.optics.ambient import AMBIENT_PRESETS
 
-            phy = self.phy or PhyKnobs()
-            return _make_simulator(
+            phy = self.phy
+            return make_simulator(
                 rate_bps=self.rate_bps,
                 distance_m=self.distance_m,
                 roll_deg=phy.roll_deg,
@@ -390,7 +272,7 @@ class ScenarioSpec:
             from repro.channel.dynamics import ChannelDrift
             from repro.experiments.mobility import MobileLinkSimulator
 
-            mob = self.mobility or MobilityKnobs()
+            mob = self.mobility
             return MobileLinkSimulator(
                 distance_m=self.distance_m,
                 drift=ChannelDrift(
@@ -406,7 +288,7 @@ class ScenarioSpec:
         if self.kind == "trajectory":
             from repro.experiments.mobility import MobileLinkSimulator
 
-            traj = self.trajectory or TrajectoryKnobs()
+            traj = self.trajectory
             return MobileLinkSimulator(
                 trajectory=traj.resolve(),
                 payload_bytes=self.payload_bytes,
@@ -420,8 +302,8 @@ class ScenarioSpec:
         if self.kind == "arq":
             from repro.mac.arq import StopAndWaitARQ
 
-            return StopAndWaitARQ(max_attempts=self.max_attempts)
+            return StopAndWaitARQ(max_attempts=self.mac.max_attempts)
         # watchdog
         from repro.mac.watchdog import LinkWatchdog
 
-        return LinkWatchdog(fail_threshold=self.fail_threshold, observer=observer)
+        return LinkWatchdog(fail_threshold=self.mac.fail_threshold, observer=observer)

@@ -13,7 +13,6 @@ from repro.optics.ambient import AmbientLight
 from repro.optics.geometry import LinkGeometry
 from repro.optics.retroreflector import LinkBudget
 from repro.phy.pipeline import PacketSimulator
-from repro.utils.deprecation import warn_once
 
 __all__ = [
     "SweepPoint",
@@ -37,22 +36,7 @@ class SweepPoint:
         yield self.ber
 
 
-def make_simulator(*args, **kwargs) -> PacketSimulator:
-    """A PacketSimulator at a named experimental condition.
-
-    .. deprecated:: the kwarg grab-bag is replaced by the validated
-       :class:`repro.api.ScenarioSpec`; build one and call ``.build()``
-       (or run it through :class:`repro.api.Session`).
-    """
-    warn_once(
-        "make_simulator",
-        "make_simulator(**kwargs) is deprecated; construct a validated "
-        "repro.api.ScenarioSpec and use Session(spec).run() or spec.build()",
-    )
-    return _make_simulator(*args, **kwargs)
-
-
-def _make_simulator(
+def make_simulator(
     rate_bps: float = 8000,
     distance_m: float = 2.0,
     roll_deg: float = 0.0,
@@ -68,7 +52,7 @@ def _make_simulator(
     observer=None,
     **kwargs,
 ) -> PacketSimulator:
-    """Implementation behind the :func:`make_simulator` shim.
+    """A PacketSimulator at a named experimental condition.
 
     Experiment defaults (payload, seeds) are sized for shape-faithful but
     tractable sweeps; pass ``payload_bytes=128`` etc. for paper-exact
@@ -114,7 +98,7 @@ def simulate_grid_task(task, rng) -> dict:
     """
     params = task.kwargs
     n_packets = params.pop("n_packets", 4)
-    sim = _make_simulator(rng=rng, **params)
+    sim = make_simulator(rng=rng, **params)
     m = sim.measure_ber(n_packets=n_packets, rng=rng)
     return {
         "ber": m.ber,

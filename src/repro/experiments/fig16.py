@@ -8,7 +8,7 @@ flat across dark/night/day illumination (16d).
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepPoint, _make_simulator
+from repro.experiments.common import SweepPoint, make_simulator
 from repro.optics.ambient import AMBIENT_PRESETS
 from repro.utils.rng import ensure_rng
 
@@ -37,7 +37,7 @@ def rate_vs_distance(
     for rate in rates_bps:
         points = []
         for d in distances_m:
-            sim = _make_simulator(rate_bps=rate, distance_m=d, payload_bytes=payload_bytes, rng=gen)
+            sim = make_simulator(rate_bps=rate, distance_m=d, payload_bytes=payload_bytes, rng=gen)
             m = sim.measure_ber(n_packets=n_packets, rng=gen)
             points.append(
                 SweepPoint(x=d, ber=m.ber, extras={"snr_db": sim.link.effective_snr_db()})
@@ -130,7 +130,7 @@ def roll_sweep(
     gen = ensure_rng(rng)
     points = []
     for roll in roll_degs:
-        sim = _make_simulator(distance_m=distance_m, roll_deg=roll, rng=gen)
+        sim = make_simulator(distance_m=distance_m, roll_deg=roll, rng=gen)
         m = sim.measure_ber(n_packets=n_packets, rng=gen)
         points.append(SweepPoint(x=roll, ber=m.ber))
     return points
@@ -149,7 +149,7 @@ def yaw_sweep(
     gen = ensure_rng(rng)
     points = []
     for yaw in yaw_degs:
-        sim = _make_simulator(
+        sim = make_simulator(
             distance_m=distance_m,
             yaw_deg=yaw,
             bank_mode="trained" if online_training else "nominal",
@@ -171,7 +171,7 @@ def ambient_sweep(
     gen = ensure_rng(rng)
     out: dict[str, SweepPoint] = {}
     for name, ambient in AMBIENT_PRESETS.items():
-        sim = _make_simulator(distance_m=distance_m, ambient=ambient, rng=gen)
+        sim = make_simulator(distance_m=distance_m, ambient=ambient, rng=gen)
         m = sim.measure_ber(n_packets=n_packets, rng=gen)
         out[name] = SweepPoint(x=ambient.lux, ber=m.ber)
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.common import SweepPoint, _make_simulator
+from repro.experiments.common import SweepPoint, make_simulator
 from repro.modem.config import ModemConfig
 from repro.utils.rng import ensure_rng
 
@@ -44,7 +44,7 @@ def dfe_comparison(
     for label, k in (("dfe_1", 1), ("dfe_16", 16), ("viterbi", viterbi_k)):
         points = []
         for d in distances_m:
-            sim = _make_simulator(config=config, distance_m=d, k_branches=k, rng=gen)
+            sim = make_simulator(config=config, distance_m=d, k_branches=k, rng=gen)
             m = sim.measure_ber(n_packets=n_packets, rng=gen)
             points.append(SweepPoint(x=d, ber=m.ber))
         out[label] = points
@@ -128,7 +128,7 @@ def training_memory_sweep(
         config = replace(base, tail_memory=v)
         points = []
         for d in distances_m:
-            sim = _make_simulator(config=config, distance_m=d, rng=gen)
+            sim = make_simulator(config=config, distance_m=d, rng=gen)
             m = sim.measure_ber(n_packets=n_packets, rng=gen)
             points.append(SweepPoint(x=d, ber=m.ber))
         out[v] = points

@@ -25,7 +25,6 @@ from repro.phy.resync import MobileReceiver, ResyncFrameFormat
 from repro.phy.transmitter import PhyTransmitter
 from repro.training.offline import OfflineTrainer
 from repro.utils.bits import bit_errors, bytes_to_bits
-from repro.utils.deprecation import warn_once
 from repro.utils.rng import ensure_rng
 
 __all__ = ["MobileLinkSimulator", "mobility_resync_sweep"]
@@ -90,19 +89,7 @@ class MobileLinkSimulator:
         self.frame.preamble.record_reference(DsmPqamModulator(self.config, nominal))
 
     def run_packet(self, payload: bytes | None = None, rng=None) -> tuple[float, bool]:
-        """One packet; returns (BER, crc_ok).
-
-        .. deprecated:: use ``repro.api.Session(ScenarioSpec(kind="mobility",
-           ...)).run()`` as the public entry point.
-        """
-        warn_once(
-            "MobileLinkSimulator.run_packet",
-            "MobileLinkSimulator.run_packet is deprecated as a public entry point; "
-            "use repro.api.Session(ScenarioSpec(kind='mobility', ...)).run() instead",
-        )
-        return self._run_packet(payload=payload, rng=rng)
-
-    def _run_packet(self, payload: bytes | None = None, rng=None) -> tuple[float, bool]:
+        """One packet; returns (BER, crc_ok)."""
         obs = self._obs
         gen = ensure_rng(rng)
         if payload is None:
@@ -142,7 +129,7 @@ class MobileLinkSimulator:
     def measure_ber(self, n_packets: int = 4, rng=None) -> float:
         """Mean BER over packets."""
         gen = ensure_rng(rng)
-        return float(np.mean([self._run_packet(rng=gen)[0] for _ in range(n_packets)]))
+        return float(np.mean([self.run_packet(rng=gen)[0] for _ in range(n_packets)]))
 
 
 def mobility_resync_sweep(

@@ -43,12 +43,7 @@ def fleet_scale_task(task: GridTask, rng: np.random.Generator) -> dict:
     if scenario != BASELINE:
         plan = network_scenario(scenario, config.duration_s)
     fleet_seed = int(rng.integers(2**63))
-    result = FleetSimulator(
-        config,
-        fault_plan=plan,
-        root_seed=fleet_seed,
-        engine=kwargs.get("engine", "store"),
-    ).run()
+    result = FleetSimulator(config, fault_plan=plan, root_seed=fleet_seed).run()
     row = result.row()
     row["scenario"] = scenario
     row["contract_violation"] = (
@@ -69,7 +64,6 @@ def network_scale_grid(
     journal=None,
     shard=None,
     sweep: dict | None = None,
-    engine: str = "store",
 ) -> dict[str, list[dict]]:
     """Fleet robustness matrix: ``scenario x n_tags`` through the engine.
 
@@ -77,11 +71,6 @@ def network_scale_grid(
     :meth:`~repro.network.fleet.FleetResult.row` record plus grid
     coordinates.  ``journal``/``shard``/``sweep`` select the crash-safe
     resumable engine — see :func:`repro.experiments.sweeps.run_grid`.
-
-    ``engine`` selects the fleet serving engine (``"store"`` vectorized /
-    ``"reference"`` frozen scalar — bit-identical rows either way).  The
-    default is omitted from the task kwargs so journals written before
-    the engine knob existed replay without a signature mismatch.
     """
     from repro.experiments.common import emit_sweep_report
     from repro.experiments.sweeps import run_grid
@@ -97,11 +86,8 @@ def network_scale_grid(
     if unknown:
         raise ValueError(f"unknown network scenario(s) {unknown}; known: {sorted(known)}")
     xs = n_tags_list or [4, 12, 24]
-    if engine not in ("store", "reference"):
-        raise ValueError(f"unknown fleet engine {engine!r}")
-    extra = {} if engine == "store" else {"engine": engine}
     schemes = {
-        name: {"scenario": name, "n_readers": n_readers, "duration_s": duration_s, **extra}
+        name: {"scenario": name, "n_readers": n_readers, "duration_s": duration_s}
         for name in names
     }
     tasks = make_grid(schemes, xs, x_key="n_tags")

@@ -8,7 +8,7 @@ directionality and uplink retroreflectivity.
 
 from __future__ import annotations
 
-from repro.experiments.common import SweepPoint, _make_simulator
+from repro.experiments.common import SweepPoint, make_simulator
 from repro.optics.ambient import MOBILITY_CASES
 from repro.utils.rng import ensure_rng
 
@@ -24,7 +24,7 @@ def mobility_study(
     gen = ensure_rng(rng)
     out: dict[str, SweepPoint] = {}
     for name, mobility in MOBILITY_CASES.items():
-        sim = _make_simulator(distance_m=distance_m, mobility=mobility, rng=gen)
+        sim = make_simulator(distance_m=distance_m, mobility=mobility, rng=gen)
         m = sim.measure_ber(n_packets=n_packets, rng=gen)
         out[name] = SweepPoint(x=mobility.rate_hz, ber=m.ber)
     return out

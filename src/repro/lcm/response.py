@@ -367,7 +367,8 @@ class LCResponseModel:
         full ``(n_pixels, n_samples)`` grid — no per-tick ``arange`` /
         ``concatenate`` / double-branch allocations.  Both passes run the
         identical elementwise map arithmetic as the frozen scalar reference
-        (:mod:`repro.lcm.response_reference`), so outputs agree bitwise.
+        (``tests/reference/response_reference.py``), so outputs agree
+        bitwise.
 
         Parameters
         ----------

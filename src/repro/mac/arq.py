@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.deprecation import warn_once
 from repro.utils.rng import ensure_rng
 
 __all__ = ["ArqStats", "StopAndWaitARQ"]
@@ -47,24 +46,7 @@ class StopAndWaitARQ:
         n_frames: int,
         rng: np.random.Generator | int | None = None,
     ) -> ArqStats:
-        """Monte-Carlo ARQ over frames with i.i.d. block success.
-
-        .. deprecated:: use ``repro.api.Session(ScenarioSpec(kind="arq",
-           ...)).run()`` as the public entry point.
-        """
-        warn_once(
-            "StopAndWaitARQ.simulate",
-            "StopAndWaitARQ.simulate is deprecated as a public entry point; "
-            "use repro.api.Session(ScenarioSpec(kind='arq', ...)).run() instead",
-        )
-        return self._simulate(success_probability, n_frames, rng=rng)
-
-    def _simulate(
-        self,
-        success_probability: float,
-        n_frames: int,
-        rng: np.random.Generator | int | None = None,
-    ) -> ArqStats:
+        """Monte-Carlo ARQ over frames with i.i.d. block success."""
         from repro.obs import get_observer
 
         obs = get_observer()

@@ -163,7 +163,7 @@ class LinkSession:
                         "mac.polls_total", outcome="delivered" if poll_ok else "lost"
                     )
                     obs.gauge("mac.assigned_rate_bps", assigned)
-                result = self._simulator(tag_rate)._run_packet(rng=self._rng)
+                result = self._simulator(tag_rate).run_packet(rng=self._rng)
                 if obs.enabled:
                     obs.count(
                         "mac.rounds_total", crc="ok" if result.crc_ok else "fail"

@@ -19,7 +19,6 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.mac.arq import StopAndWaitARQ
 from repro.obs import ensure_observer
-from repro.utils.deprecation import warn_once
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng
 
@@ -248,24 +247,7 @@ class LinkWatchdog:
         Each frame gets the stop-and-wait attempt budget of ``arq``; every
         attempt's outcome feeds the watchdog, so rate fallback and backoff
         accumulate exactly as they would against the real PHY.
-
-        .. deprecated:: use ``repro.api.Session(ScenarioSpec(kind="watchdog",
-           ...)).run()`` as the public entry point.
         """
-        warn_once(
-            "LinkWatchdog.simulate",
-            "LinkWatchdog.simulate is deprecated as a public entry point; "
-            "use repro.api.Session(ScenarioSpec(kind='watchdog', ...)).run() instead",
-        )
-        return self._simulate(success_probability, n_frames, arq=arq, rng=rng)
-
-    def _simulate(
-        self,
-        success_probability,
-        n_frames: int,
-        arq: StopAndWaitARQ | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> WatchdogStats:
         if n_frames < 0:
             raise ConfigError("n_frames must be non-negative")
         arq = arq or StopAndWaitARQ()

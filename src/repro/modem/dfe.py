@@ -16,9 +16,9 @@ classic single-decision DFE; ``K = 16`` is the paper's real-time sweet
 spot.
 
 This module is the *vectorized* hot path; its required behaviour is defined
-by :class:`repro.modem.dfe_reference.ReferenceDFEDemodulator`, which it must
-match bit-exactly (enforced by ``tests/golden`` and the hypothesis
-equivalence suite).  Four rewrites carry the speedup:
+by the frozen scalar beam search ``ReferenceDFEDemodulator`` in
+``tests/reference/dfe_reference.py``, which it must match bit-exactly
+(enforced by ``tests/golden`` and the hypothesis equivalence suite).  Four rewrites carry the speedup:
 
 * **Dense reference bank** — every reference pulse lives in dense float
   planes indexed by (channel, group, plane, level, packed quantized history)

@@ -7,11 +7,13 @@ scale on a deterministic discrete-event core:
 
 * :mod:`repro.network.core` — event queue + SeedSequence stream layout.
 * :mod:`repro.network.reader` — reader health lifecycle and admission.
-* :mod:`repro.network.link` — migration-safe per-tag link/ARQ state.
-* :mod:`repro.network.linkstore` — the same state as struct-of-arrays;
-  the vectorized round engine million-tag schedules run through.
-* :mod:`repro.network.link_reference` — frozen scalar executable spec.
+* :mod:`repro.network.linkstore` — migration-safe per-tag link/ARQ state
+  as struct-of-arrays; the vectorized round engine million-tag schedules
+  run through.
 * :mod:`repro.network.fleet` — the simulator and its fault contract.
+
+The frozen scalar per-tag path the store is walled against lives with its
+tests, in ``tests/reference/``.
 
 Chaos comes from :mod:`repro.faults.network`; results flow into the
 sharded sweep engine via :mod:`repro.experiments.network_scale`.
@@ -19,9 +21,7 @@ sharded sweep engine via :mod:`repro.experiments.network_scale`.
 
 from repro.network.core import Event, EventQueue, spawn_streams
 from repro.network.fleet import FleetConfig, FleetResult, FleetSimulator, TagState
-from repro.network.link import FrameOutcome, TagLinkState
-from repro.network.link_reference import ReferenceTagLinkState
-from repro.network.linkstore import LinkStateStore, RoundServe, TagLinkView
+from repro.network.linkstore import FrameOutcome, LinkStateStore, RoundServe, TagLinkView
 from repro.network.reader import Reader, ReaderHealth
 
 __all__ = [
@@ -34,9 +34,7 @@ __all__ = [
     "LinkStateStore",
     "Reader",
     "ReaderHealth",
-    "ReferenceTagLinkState",
     "RoundServe",
-    "TagLinkState",
     "TagLinkView",
     "TagState",
     "spawn_streams",

@@ -3,8 +3,9 @@
 This is the network layer's integration point.  A :class:`FleetSimulator`
 hosts ``n_readers`` readers and ``n_tags`` tags on one discrete-event
 timeline (:mod:`repro.network.core`), drives per-tag link adaptation
-through :class:`~repro.network.link.TagLinkState`, and plays a
-:class:`~repro.faults.network.NetworkFaultPlan` against the deployment.
+through a struct-of-arrays :class:`~repro.network.linkstore.LinkStateStore`,
+and plays a :class:`~repro.faults.network.NetworkFaultPlan` against the
+deployment.
 
 The fault-tolerance contract it implements:
 
@@ -14,9 +15,9 @@ The fault-tolerance contract it implements:
 * **Seeded-exponential-backoff re-association** — retry delays are drawn
   from the *tag's own* SeedSequence stream, so recovery timing is a pure
   function of the root seed.
-* **Handoff without state loss** — the tag's :class:`TagLinkState`
-  (rate rung, ARQ window, watchdog hysteresis) migrates untouched to the
-  new reader; only discovery latency is paid.
+* **Handoff without state loss** — the tag's link state (rate rung, ARQ
+  window, watchdog hysteresis) migrates untouched to the new reader; only
+  discovery latency is paid.
 * **Admission control / load shedding** — bounded schedules and discovery
   queues shed deterministically (shed-new) instead of collapsing.
 * **Graceful degradation** — a RECOVERING reader serves at a reduced
@@ -28,24 +29,18 @@ scheduling order; metrics never touch RNG.  A run is therefore a pure
 function of ``(config, fault_plan, root_seed)`` — the property the
 handoff-determinism and sweep bit-identity tests pin.
 
-Two serving engines share this timeline:
-
-* ``engine="store"`` (default) — the vectorized round engine: per-tag
-  link state lives in a struct-of-arrays
-  :class:`~repro.network.linkstore.LinkStateStore` and a reader's whole
-  round is one :meth:`~repro.network.linkstore.LinkStateStore.serve_round`
-  kernel call (tags ride along as :class:`~repro.network.linkstore.
-  TagLinkView` windows, so handoff still just migrates the link object).
-* ``engine="reference"`` — the frozen scalar path
-  (:class:`~repro.network.link_reference.ReferenceTagLinkState`, one
-  Python call per served slot), kept as the executable spec.
-
-Both draw exactly one uniform per served slot from the served tag's own
-stream, in service order, so they are *bit-identical* — same per-tag
+A reader's whole round is one
+:meth:`~repro.network.linkstore.LinkStateStore.serve_round` kernel call
+(tags ride along as :class:`~repro.network.linkstore.TagLinkView` windows,
+so handoff just migrates the link object).  It draws exactly one uniform
+per served slot from the served tag's own stream, in service order, so it
+is *bit-identical* to the frozen scalar per-tag path — same per-tag
 snapshots, same ``FrameOutcome`` sequences, same ``timeline_digest`` —
-which ``tests/network/test_linkstore_equivalence.py`` enforces.
+which ``tests/network/test_linkstore_equivalence.py`` enforces against a
+test-side subclass that overrides :meth:`FleetSimulator._serve` with that
+path.
 
-Both also share the per-tag association bookkeeping, kept in a
+The per-tag association bookkeeping is kept in a
 :class:`TagTable` of parallel arrays so a run's cost follows the tags it
 touches, not ``n_tags``; ``sim.tags[i]`` is a :class:`TagState` view over
 one row, built on first access.  A beacon writes one time on its reader,
@@ -66,9 +61,7 @@ from repro.errors import ConfigError, FailureReason, FailureStage
 from repro.faults.network import NetworkFaultPlan
 from repro.mac.rate_adapt import LinkProfile, default_profile
 from repro.network.core import Event, EventQueue, spawn_streams
-from repro.network.link import FrameOutcome
-from repro.network.link_reference import ReferenceTagLinkState
-from repro.network.linkstore import LinkStateStore, TagLinkView
+from repro.network.linkstore import FrameOutcome, LinkStateStore, TagLinkView
 from repro.network.reader import Reader, ReaderHealth
 from repro.obs import Observer, ensure_observer
 from repro.optics.retroreflector import LinkBudget
@@ -163,12 +156,11 @@ class TagState:
 
     __slots__ = ("_table", "tag_id", "link")
 
-    def __init__(self, table: TagTable, tag_id: int, link):
+    def __init__(self, table: TagTable, tag_id: int, link: TagLinkView):
         self._table = table
         self.tag_id = tag_id
-        #: The migration-safe link state: a scalar object (reference engine)
-        #: or a :class:`TagLinkView` window onto the fleet's store.
-        self.link: TagLinkView | ReferenceTagLinkState = link
+        #: The migration-safe link state: a window onto the fleet's store.
+        self.link = link
 
     @property
     def position_m(self) -> float:
@@ -331,20 +323,14 @@ class FleetResult:
     #: Handoffs: ``(time, tag_id, from_reader, to_reader, latency_s)``.
     handoff_log: list[tuple[float, int, int, int, float]]
     events_processed: int
-    #: The struct-of-arrays link store (``engine="store"`` runs); None for
-    #: the frozen reference engine.  Aggregates below use it as an O(1)
-    #: fast path — the values are identical either way.
-    store: LinkStateStore | None = None
+    #: The struct-of-arrays link store the run served through.
+    store: LinkStateStore
 
     # ------------------------------------------------------------ aggregates
 
     def _per_tag(self, counter: str) -> np.ndarray:
         """One link counter per tag id (int64, length ``n_tags``)."""
-        if self.store is not None:
-            return getattr(self.store, counter)
-        return np.fromiter(
-            (getattr(t.link, counter) for t in self.tags), dtype=np.int64, count=len(self.tags)
-        )
+        return getattr(self.store, counter)
 
     @property
     def delivered(self) -> int:
@@ -368,7 +354,7 @@ class FleetResult:
 
         ``(sum x)^2 / (n * sum x^2)`` in [1/n, 1]; defined as 1.0 (perfect
         fairness, vacuously) when nothing was delivered at all.  Computed
-        from exact integer counts, so it is engine- and worker-invariant.
+        from exact integer counts, so it is worker-invariant.
         """
         x = self.per_tag_delivered()
         total = int(x.sum())
@@ -495,13 +481,6 @@ class FleetSimulator:
         Metrics sink; ``None`` means the no-op singleton.  Metrics are
         side-band only — enabling them never changes a single bit of the
         simulation (no RNG draws, no control flow).
-    engine:
-        ``"store"`` (default) serves rounds through the vectorized
-        :class:`~repro.network.linkstore.LinkStateStore`; ``"reference"``
-        runs the frozen scalar spec
-        (:class:`~repro.network.link_reference.ReferenceTagLinkState`).
-        Bit-identical by contract — the knob exists for the equivalence
-        wall and the fleet-scale benchmark.
     record_frames:
         When True, every served slot's :class:`FrameOutcome` is appended
         to :attr:`frame_log` in global service order — the per-frame
@@ -517,13 +496,8 @@ class FleetSimulator:
         profile: LinkProfile | None = None,
         budget: LinkBudget | None = None,
         observer: Observer | None = None,
-        engine: str = "store",
         record_frames: bool = False,
     ):
-        if engine not in ("store", "reference"):
-            raise ConfigError(
-                f"unknown fleet engine {engine!r} (expected 'store' or 'reference')"
-            )
         self.config = config if config is not None else FleetConfig()
         self.fault_plan = fault_plan if fault_plan is not None else NetworkFaultPlan()
         if self.fault_plan.max_reader_id() >= self.config.n_readers:
@@ -535,7 +509,6 @@ class FleetSimulator:
         self.profile = profile if profile is not None else default_profile()
         self.budget = budget if budget is not None else LinkBudget.wide_fov()
         self.obs = ensure_observer(observer)
-        self.engine = engine
         self.record_frames = bool(record_frames)
         #: Served slots in global service order (only when record_frames).
         self.frame_log: list[FrameOutcome] = []
@@ -557,31 +530,15 @@ class FleetSimulator:
             for i in range(cfg.n_readers)
         ]
         positions = deploy.uniform(0.0, cfg.span_m, size=cfg.n_tags)
-        if self.engine == "store":
-            self._store: LinkStateStore | None = LinkStateStore(
-                self.profile,
-                cfg.n_tags,
-                payload_bytes=cfg.payload_bytes,
-                overhead_s=cfg.overhead_s,
-                raise_after=cfg.raise_after,
-                fail_threshold=cfg.fail_threshold,
-                recover_after=cfg.recover_after,
-            )
-            link_of = self._store.view
-        else:
-            self._store = None
-            self._links = [
-                ReferenceTagLinkState(
-                    self.profile,
-                    payload_bytes=cfg.payload_bytes,
-                    overhead_s=cfg.overhead_s,
-                    raise_after=cfg.raise_after,
-                    fail_threshold=cfg.fail_threshold,
-                    recover_after=cfg.recover_after,
-                )
-                for i in range(cfg.n_tags)
-            ]
-            link_of = self._links.__getitem__
+        self._store = LinkStateStore(
+            self.profile,
+            cfg.n_tags,
+            payload_bytes=cfg.payload_bytes,
+            overhead_s=cfg.overhead_s,
+            raise_after=cfg.raise_after,
+            fail_threshold=cfg.fail_threshold,
+            recover_after=cfg.recover_after,
+        )
         # Static SNR matrix: geometry never changes mid-run; impairments
         # (occlusion dB) are applied per-frame on top.  One broadcast
         # snr_db call over the distance matrix (log10 vectorizes
@@ -594,10 +551,8 @@ class FleetSimulator:
         self.frame_log = []
         self.transitions: list[tuple[float, int, str, str]] = []
         self.handoff_log: list[tuple[float, int, int, int, float]] = []
-        # Authoritative association bookkeeping, as arrays (for both
-        # engines; this is shared timeline bookkeeping, not part of the
-        # frozen serve path).
-        self.tags = TagTable(positions, link_of, self.handoff_log, self.readers)
+        # Authoritative association bookkeeping, as arrays.
+        self.tags = TagTable(positions, self._store.view, self.handoff_log, self.readers)
         self._events_processed = 0
         #: Per-reader discovery service cost (a storm can override it).
         self._discovery_cost = [cfg.discovery_cost_s] * cfg.n_readers
@@ -786,20 +741,18 @@ class FleetSimulator:
             reader.discovery_served += n
             used += n * cost
         # Data slots, round-robin from the rotation point, until budget.
-        if self._store is not None:
-            served, used = self._serve_store(reader, used, budget_s)
-        else:
-            served, used = self._serve_reference(reader, used, budget_s)
+        served, used = self._serve(reader, used, budget_s)
         reader.advance_rotation(served)
         reader.frames_served += served
         reader.airtime_s += used
 
-    def _serve_store(self, reader: Reader, used: float, budget_s: float):
+    def _serve(self, reader: Reader, used: float, budget_s: float):
         """Vectorized data service: the whole round is one kernel call.
 
-        ``network.frames_total`` is emitted as one batched count per
-        (reader, outcome) per round — same totals and labels as the
-        reference's per-slot counts, without a per-slot observer call.
+        Returns ``(slots served, airtime used)``.  ``network.frames_total``
+        is emitted as one batched count per (reader, outcome) per round —
+        same totals and labels as a per-slot count, without a per-slot
+        observer call.
         """
         if not reader.schedule:
             return 0, used
@@ -843,34 +796,6 @@ class FleetSimulator:
                         "network.frames_total", n, outcome=label, reader=str(rid)
                     )
         return n_served, res.used_s
-
-    def _serve_reference(self, reader: Reader, used: float, budget_s: float):
-        """Frozen scalar data service — one Python call per served slot.
-
-        This loop is part of the executable spec (see
-        :mod:`repro.network.link_reference`): do not optimise it."""
-        served = 0
-        for tag_id in reader.service_order():
-            link = self._links[tag_id]
-            airtime = link.frame_airtime_s()
-            if used + airtime > budget_s:
-                break
-            snr = float(self._snr[tag_id, reader.reader_id]) - reader.occlusion_db
-            outcome = link.attempt_frame(
-                snr, self._tag_rngs[tag_id], extra_fail_prob=reader.collision_prob
-            )
-            used += outcome.airtime_s
-            served += 1
-            if self.record_frames:
-                self.frame_log.append(outcome)
-            if self.obs.enabled:
-                label = "delivered" if outcome.delivered else (
-                    "abandoned" if outcome.abandoned else "retry"
-                )
-                self.obs.count(
-                    "network.frames_total", outcome=label, reader=str(reader.reader_id)
-                )
-        return served, used
 
     def _tag_check(self, now: float, queue: EventQueue) -> None:
         """Heartbeat-missed detection, in tag-id order.
@@ -934,8 +859,8 @@ class FleetSimulator:
         """Admit at the best-SNR beaconing reader; handoff bookkeeping.
 
         Candidate order is ``(-effective_snr, reader_id)`` — fully
-        deterministic.  The tag's :class:`TagLinkState` is untouched:
-        handoff migrates it."""
+        deterministic.  The tag's link state is untouched: handoff
+        migrates it."""
         snr = self._snr[tag_id].tolist()
         candidates = sorted(
             (r for r in self.readers if r.beaconing),

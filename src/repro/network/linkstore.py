@@ -1,20 +1,23 @@
 """Struct-of-arrays link-state store: million-tag schedules per round.
 
-:class:`~repro.network.link.TagLinkState` closes the paper's adaptation
-loop one Python call per TDMA slot — a dict lookup into the rate profile,
-a per-call :meth:`~repro.mac.rate_adapt.CodingOption.block_success`
-(a scipy ``binom.cdf`` evaluation, ~60 µs), a scalar ``rng.random()``
-draw, and a handful of attribute mutations.  At fleet scale that per-slot
-cost is the wall: dense deployments top out at thousands of tags.
+The paper's single-reader MAC closes its adaptation loop inside
+:class:`repro.mac.session.LinkSession`; at fleet scale every tag carries
+the same adaptation state — watchdog-supervised rate position on the PHY
+ladder, success streak, and the stop-and-wait ARQ window.  Done one Python
+call per TDMA slot (a dict lookup into the rate profile, a per-call
+:meth:`~repro.mac.rate_adapt.CodingOption.block_success` — a scipy
+``binom.cdf`` evaluation, ~60 µs — a scalar ``rng.random()`` draw, and a
+handful of attribute mutations), that per-slot cost is the wall: dense
+deployments top out at thousands of tags.
 
-:class:`LinkStateStore` is the same state machine laid out as parallel
-ndarrays over the whole tag population — rate-rung index, success streak,
-pending ARQ attempts, watchdog failure/success counters, recovery
+:class:`LinkStateStore` lays the state machine out as parallel ndarrays
+over the whole tag population — rate-rung index, success streak, pending
+ARQ attempts, watchdog failure/success counters, recovery
 (fallback-hysteresis) flag, and the delivered/abandoned/attempts counters
 — with two precomputed tables replacing the per-call arithmetic:
 
 * **per-rung airtime** (``airtime_by_rung``): built once with the exact
-  scalar formula of :meth:`TagLinkState.frame_airtime_s`;
+  scalar formula ``overhead + payload_bits / code_rate / rate``;
 * **per-(rung, SNR) block success** (``_success_rows``): for each
   ``(reader, occlusion, rung)`` key, one row of per-tag CRC success
   probabilities, built lazily on first use and cached — served rounds are
@@ -31,8 +34,8 @@ draw **exactly one uniform per served tag from that tag's own stream**
 only on its own seed and how many slots it was served), then apply the
 watchdog/streak/ARQ/rate-rung transition as vectorized ndarray updates.
 
-Bit-identity with the frozen scalar reference
-(:mod:`repro.network.link_reference`) is a hard contract, pinned by the
+Bit-identity with the frozen scalar per-tag path it replaced
+(``tests/reference/link_reference.py``) is a hard contract, pinned by the
 hypothesis wall in ``tests/network/test_linkstore_equivalence.py``.  Two
 consequences shape the implementation:
 
@@ -47,11 +50,12 @@ consequences shape the implementation:
   (:meth:`serve_round` / :meth:`_apply_outcomes`) are behind
   ``active_backend().xp`` and registered with the no-raw-``np`` lint.
 
-:class:`TagLinkView` is a per-tag window onto the store, duck-typed to
-:class:`TagLinkState`: handoff still "migrates the link object" (the view
-rides in :class:`~repro.network.fleet.TagState` untouched), snapshots are
-field-identical, and its scalar :meth:`~TagLinkView.attempt_frame` lets
-unit drills poke a single tag mid-run without leaving the store.
+:class:`TagLinkView` is a per-tag window onto the store: handoff
+"migrates the link object" (the view rides in
+:class:`~repro.network.fleet.TagState` untouched), its :meth:`~TagLinkView.
+snapshot` is the migration contract, and its scalar
+:meth:`~TagLinkView.attempt_frame` lets unit drills poke a single tag
+mid-run without leaving the store.
 """
 
 from __future__ import annotations
@@ -64,10 +68,19 @@ from scipy import stats
 from repro.errors import ConfigError
 from repro.mac.arq import StopAndWaitARQ
 from repro.mac.rate_adapt import CodingOption, LinkProfile, RateOption
-from repro.network.link import FrameOutcome
 from repro.utils.backend import active_backend
 
-__all__ = ["LinkStateStore", "RoundServe", "TagLinkView"]
+__all__ = ["FrameOutcome", "LinkStateStore", "RoundServe", "TagLinkView"]
+
+
+@dataclass(frozen=True)
+class FrameOutcome:
+    """One served TDMA slot, as accounted by the scheduler."""
+
+    delivered: bool
+    abandoned: bool
+    rate_bps: int
+    airtime_s: float
 
 
 @dataclass(frozen=True)
@@ -107,10 +120,43 @@ class RoundServe:
 class LinkStateStore:
     """Watchdog + ARQ + rate-streak state for ``n_tags`` tags, as arrays.
 
-    Parameters mirror :class:`~repro.network.link.TagLinkState` (which
-    documents the adaptation semantics); ``n_tags`` sizes the arrays.
-    Tag ids index every array — a handoff needs no store operation at all,
-    because link state was never keyed by reader in the first place.
+    Each tag runs the same adaptation loop, reader-agnostic:
+
+    * **Rung index as state** — every tag starts on rung 0, the most
+      robust rate of ``profile``'s ascending ladder; a raise or fallback
+      is index arithmetic, never a ladder search.
+    * **Raise streak** — ``raise_after`` consecutive CRC-clean frames
+      raise the rung by one (capped at the top) and reset the streak; any
+      failure resets it.
+    * **Watchdog fallback and recovery hysteresis** — ``fail_threshold``
+      consecutive failures drop one rung (floored at rung 0) and arm the
+      hysteresis: no raise until ``recover_after`` consecutive clean
+      frames have cleared it.
+    * **ARQ window** — a failed attempt adds to the in-flight frame's
+      attempt count; at ``arq.max_attempts`` the frame is abandoned and
+      the window reopens.  The count survives handoff: tag ids index
+      every array, so a handoff needs no store operation at all, because
+      link state was never keyed by reader in the first place.
+    * **One draw per attempt** — each served slot costs exactly one
+      uniform from the served tag's own stream, so a tag's outcome
+      sequence depends only on its seed and how many slots it was served.
+
+    Parameters
+    ----------
+    profile:
+        The rate/coding database the ladder is built from.
+    n_tags:
+        Population size; sizes every state array.
+    coding:
+        Fixed Reed-Solomon option applied to every frame (fleet-scale runs
+        pin the coding and adapt the PHY rate; per-frame coding adaptation
+        stays a :class:`~repro.mac.session.LinkSession` concern).
+    payload_bytes / overhead_s:
+        Frame airtime model: ``overhead + payload_bits / code_rate / rate``.
+    raise_after / fail_threshold / recover_after:
+        The streak thresholds above.
+    arq:
+        Stop-and-wait policy (its ``max_attempts`` bounds the ARQ window).
     """
 
     def __init__(
@@ -153,9 +199,9 @@ class LinkStateStore:
         self.n_rungs = len(self.ladder)
         self.rate_by_rung_bps = np.asarray(self.ladder, dtype=np.int64)
 
-        # Airtime table, built with the exact scalar formula of
-        # TagLinkState.frame_airtime_s so FrameOutcome.airtime_s and the
-        # budget left-fold stay bitwise-reference.
+        # Airtime table, built with the exact scalar formula of the frozen
+        # per-tag path so FrameOutcome.airtime_s and the budget left-fold
+        # stay bitwise-reference.
         self._bits_on_air = self.payload_bytes * 8 / self.coding.code_rate
         self.airtime_by_rung = np.asarray(
             [self.overhead_s + self._bits_on_air / r for r in self.ladder],
@@ -261,8 +307,8 @@ class LinkStateStore:
         )
 
     def snapshot(self, tag_id: int) -> dict:
-        """Plain-data migration snapshot, field-identical to the scalar
-        :meth:`TagLinkState.snapshot` (the handoff tests' contract)."""
+        """Plain-data migration snapshot of one tag (the handoff tests'
+        contract: handoff preserves every field here)."""
         return {
             "rate_bps": self.ladder[int(self.rung[tag_id])],
             "pending_attempts": int(self.pending_attempts[tag_id]),
@@ -493,11 +539,11 @@ class LinkStateStore:
 class TagLinkView:
     """One tag's window onto a :class:`LinkStateStore`.
 
-    Duck-typed to :class:`~repro.network.link.TagLinkState` for everything
-    the fleet layer and its tests touch: the adaptation queries, the
-    scalar :meth:`attempt_frame`, and :meth:`snapshot`.  The view is the
-    object a handoff "migrates" — it carries only ``(store, tag_id)``, so
-    migration preserves every field by construction.
+    Everything the fleet layer and its tests touch per tag: the adaptation
+    queries, the scalar :meth:`attempt_frame`, and :meth:`snapshot`.  The
+    view is the object a handoff "migrates" — it carries only
+    ``(store, tag_id)``, so migration preserves every field by
+    construction.
     """
 
     __slots__ = ("store", "tag_id")
@@ -506,7 +552,7 @@ class TagLinkView:
         self.store = store
         self.tag_id = int(tag_id)
 
-    # Shared policy objects, for parity with TagLinkState's surface.
+    # Shared policy objects.
     @property
     def profile(self) -> LinkProfile:
         return self.store.profile

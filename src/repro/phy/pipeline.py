@@ -25,7 +25,6 @@ from repro.phy.receiver import PhyReceiver
 from repro.phy.transmitter import PhyTransmitter
 from repro.training.offline import OfflineTrainer
 from repro.utils.bits import bit_errors, bytes_to_bits
-from repro.utils.deprecation import warn_once
 from repro.utils.opcache import fingerprint, fingerprint_array, fingerprint_config, resolve_opcache
 from repro.utils.rng import ensure_rng
 
@@ -36,7 +35,7 @@ __all__ = ["CaptureSpec", "PacketResult", "PacketSimulator", "measure_ber"]
 class CaptureSpec:
     """One synthesized reader capture, ready for any receive front-end.
 
-    ``samples`` is exactly what :meth:`PacketSimulator._run_packet` hands
+    ``samples`` is exactly what :meth:`PacketSimulator.run_packet` hands
     the batch receiver; ``search_stop`` the preamble window it pairs with.
     The streaming receiver consumes the same capture chunk-wise.
     """
@@ -292,26 +291,7 @@ class PacketSimulator:
         rng: np.random.Generator | int | None = None,
         lead_slots: int = 4,
     ) -> PacketResult:
-        """Simulate one packet end to end and score it.
-
-        .. deprecated:: 1.1
-            Prefer :meth:`repro.api.Session.run`, which wraps this loop in
-            the unified run API and returns a :class:`repro.obs.RunReport`.
-        """
-        warn_once(
-            "PacketSimulator.run_packet",
-            "PacketSimulator.run_packet is deprecated as a public entry point; "
-            "use repro.api.Session(ScenarioSpec(...)).run(n_packets=1) instead",
-        )
-        return self._run_packet(payload=payload, rng=rng, lead_slots=lead_slots)
-
-    def _run_packet(
-        self,
-        payload: bytes | None = None,
-        rng: np.random.Generator | int | None = None,
-        lead_slots: int = 4,
-    ) -> PacketResult:
-        """One packet end to end (internal, non-deprecated implementation)."""
+        """Simulate one packet end to end and score it."""
         obs = self._obs
         with obs.span("packet") as packet_span:
             cap = self.make_capture(payload=payload, rng=rng, lead_slots=lead_slots)
@@ -369,7 +349,7 @@ class PacketSimulator:
 
         Extracted from the packet loop so alternative receive front-ends
         (the streaming receiver, benchmarks) consume byte-identical
-        captures: the RNG draw order matches `_run_packet`'s exactly, so
+        captures: the RNG draw order matches `run_packet`'s exactly, so
         the same seed produces the same capture either way.
         """
         obs = self._obs
@@ -451,7 +431,7 @@ class PacketSimulator:
         snr_sum = 0.0
         snr_n = 0
         for _ in range(n_packets):
-            r = self._run_packet(rng=gen)
+            r = self.run_packet(rng=gen)
             n_bits += r.n_bits
             n_errors += r.n_bit_errors
             n_crc_fail += not r.crc_ok

@@ -16,8 +16,18 @@ batch receiver decodes.  Captures are delimited either by a fixed
 ``capture_samples`` length (continuous ingest; the output can be emitted
 mid-push, before the capture boundary) or by explicit
 :meth:`StreamingReceiver.end_capture` calls.  Each capture yields exactly
-one output, equal to ``receiver.receive(capture, search_start, search_stop)``
-on the concatenated samples.
+one outcome, equal to ``receiver.receive(capture, search_start,
+search_stop)`` on the concatenated samples: an output, or the exception
+``receive`` raises.
+
+**Delivery.**  A push ingests its whole chunk, whatever the captures in it
+raise, and queues each capture's outcome in capture order.  A call
+(:meth:`~StreamingReceiver.push`, :meth:`~StreamingReceiver.end_capture`,
+:meth:`~StreamingReceiver.close`) returns the queued outputs ahead of the
+first queued exception; with no output ahead of it, it raises that
+exception.  What stays queued goes out on the next call, so a caller that
+keeps calling after a raise (``close()`` included) gets every capture's
+outcome and no pushed sample is lost.
 
 **Commit by detect.**  The batch first pass,
 :meth:`~repro.modem.preamble.Preamble.detect` over ``search_start ..
@@ -55,6 +65,7 @@ stays bit-identical).
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -163,6 +174,9 @@ class StreamingReceiver:
 
         self.packets_emitted = 0
         self.captures_completed = 0
+        #: Capture outcomes not yet delivered, in capture order: a
+        #: ReceiverOutput, or the exception the capture raised.
+        self._pending: deque[ReceiverOutput | Exception] = deque()
         self._closed = False
         self._t_first_push: float | None = None
 
@@ -191,11 +205,12 @@ class StreamingReceiver:
     # --------------------------------------------------------------- push
 
     def push(self, chunk) -> list[ReceiverOutput]:
-        """Ingest one chunk (any length, including empty); return any outputs
-        completed by it.
+        """Ingest one chunk (any length, including empty); deliver the
+        outcomes of the captures it completed (see "Delivery" in the module
+        docstring).
 
         In fixed-``capture_samples`` mode a chunk may span capture
-        boundaries; each completed capture contributes its output in order.
+        boundaries; each completed capture contributes its outcome in order.
         """
         if self._closed:
             raise RuntimeError("stream is closed")
@@ -209,7 +224,6 @@ class StreamingReceiver:
         if obs.enabled:
             obs.count("stream.chunks_total")
             self._update_agc(chunk)
-        outputs: list[ReceiverOutput] = []
         pos = 0
         n = int(chunk.size)
         while pos < n:
@@ -217,35 +231,50 @@ class StreamingReceiver:
                 take = n - pos
             else:
                 take = min(n - pos, self.capture_samples - self._fill)
-            self._ingest(chunk[pos : pos + take], outputs)
+            self._ingest(chunk[pos : pos + take])
             pos += take
             if self.capture_samples is not None and self._fill >= self.capture_samples:
-                outputs.extend(self._finalize_capture())
+                self._finalize_capture()
         if obs.enabled:
             obs.gauge("stream.buffered_samples", self.buffered_samples)
             self._emit_throughput()
-        return outputs
+        return self._deliver()
 
     def end_capture(self) -> list[ReceiverOutput]:
-        """Close the open capture explicitly and return its output (if any
-        samples were ingested).  Only meaningful without ``capture_samples``.
+        """Close the open capture explicitly (if any samples were ingested)
+        and deliver queued outcomes.  Only meaningful without
+        ``capture_samples``.
         """
         if self._closed:
             raise RuntimeError("stream is closed")
+        self._end_open_capture()
+        return self._deliver()
+
+    def close(self) -> list[ReceiverOutput]:
+        """End the stream, finalising any partially-ingested capture, and
+        deliver queued outcomes; call again after a raise for the rest."""
+        if not self._closed:
+            self._end_open_capture()
+            self._closed = True
+        return self._deliver()
+
+    def _end_open_capture(self) -> None:
         if self._fill == 0:
-            return []
-        outputs = self._finalize_capture()
+            return
+        self._finalize_capture()
         if self._obs.enabled:
             self._obs.gauge("stream.buffered_samples", self.buffered_samples)
             self._emit_throughput()
-        return outputs
 
-    def close(self) -> list[ReceiverOutput]:
-        """End the stream, finalising any partially-ingested capture."""
-        if self._closed:
-            return []
-        outputs = self.end_capture() if self._fill else []
-        self._closed = True
+    def _deliver(self) -> list[ReceiverOutput]:
+        """Pop the queued outputs ahead of the first queued exception, or
+        raise that exception when it heads the queue."""
+        pending = self._pending
+        if pending and isinstance(pending[0], Exception):
+            raise pending.popleft()
+        outputs = []
+        while pending and not isinstance(pending[0], Exception):
+            outputs.append(pending.popleft())
         return outputs
 
     def run(self, chunks: Iterable[np.ndarray]) -> Iterator[ReceiverOutput]:
@@ -258,7 +287,7 @@ class StreamingReceiver:
 
     # ------------------------------------------------------------- ingest
 
-    def _ingest(self, piece, outputs: list[ReceiverOutput]) -> None:
+    def _ingest(self, piece) -> None:
         """Append one capture-local piece and advance the state machine."""
         self._fill += int(piece.size)
         if self._state == _DONE:
@@ -271,12 +300,17 @@ class StreamingReceiver:
             and self._state in (_SCANNING, _DEFER)
             and self._buf.size > self.max_buffered_samples
         ):
-            self._drop_capture(outputs)
+            self._drop_capture()
             return
-        if self._state == _SCANNING:
-            self._advance_scan()
-        if self._state == _WAITING and self._buf.size >= self._frame_end:
-            self._decode(outputs)
+        try:
+            if self._state == _SCANNING:
+                self._advance_scan()
+            if self._state == _WAITING and self._buf.size >= self._frame_end:
+                self._decode()
+        except Exception as exc:
+            # The capture raised once, as batch does: queue the exception in
+            # its place and drain the capture to its boundary.
+            self._emit(exc)
 
     def _update_agc(self, chunk) -> None:
         """Fold a chunk into the rolling AGC estimate and export gauges."""
@@ -330,52 +364,45 @@ class StreamingReceiver:
 
     # -------------------------------------------------------------- decode
 
-    def _decode(self, outputs: list[ReceiverOutput]) -> None:
+    def _decode(self) -> None:
         """Run the receiver's stages on the buffered prefix, which now holds
         the committed detection's whole frame."""
         x = self._backend.to_host(self._buf.view())
-        try:
-            output = self._inner._run_stages(
+        self._emit(
+            self._inner._run_stages(
                 x, self.search_start, self.search_stop, detection=self._detection
             )
-        except Exception:
-            # The capture raised once, as batch does: later pushes drain it
-            # to its boundary, which emits nothing.
-            self._state = _DONE
-            self._buf = None
-            raise
-        self._emit(output, outputs)
+        )
 
-    def _emit(self, output: ReceiverOutput, outputs: list[ReceiverOutput]) -> None:
-        """Deliver one capture output and release the capture buffer."""
-        outputs.append(output)
-        self.packets_emitted += 1
+    def _emit(self, outcome: ReceiverOutput | Exception) -> None:
+        """Queue the capture's one outcome and release the capture buffer."""
+        self._pending.append(outcome)
         self._state = _DONE
         self._buf = None  # bounded memory: the capture buffer dies here
+        if isinstance(outcome, Exception):
+            return
+        self.packets_emitted += 1
         if self._obs.enabled:
             self._obs.count("stream.packets_emitted_total")
 
-    def _finalize_capture(self) -> list[ReceiverOutput]:
+    def _finalize_capture(self) -> None:
         """Capture boundary: run the stages on the whole buffer unless the
-        output was already emitted."""
-        outputs: list[ReceiverOutput] = []
-        try:
-            if self._state != _DONE:
-                x = self._backend.to_host(self._buf.view())
-                self._emit(
-                    self._inner._run_stages(
-                        x, self.search_start, self.search_stop, detection=self._detection
-                    ),
-                    outputs,
+        capture's outcome is already queued."""
+        if self._state != _DONE:
+            x = self._backend.to_host(self._buf.view())
+            try:
+                output = self._inner._run_stages(
+                    x, self.search_start, self.search_stop, detection=self._detection
                 )
-        finally:
-            # A raising capture (e.g. one shorter than the preamble, as in
-            # batch) still closes, so the stream can continue.
-            self.captures_completed += 1
-            self._reset_capture()
-        return outputs
+            except Exception as exc:
+                # A raising capture (e.g. one shorter than the preamble, as
+                # in batch) still closes, so the stream can continue.
+                output = exc
+            self._emit(output)
+        self.captures_completed += 1
+        self._reset_capture()
 
-    def _drop_capture(self, outputs: list[ReceiverOutput]) -> None:
+    def _drop_capture(self) -> None:
         """Backpressure: abandon the capture (policy, not equivalence)."""
         obs = self._obs
         obs.count("stream.backpressure_drops")
@@ -393,6 +420,5 @@ class StreamingReceiver:
                     f"buffered {self._fill} samples above bound {self.max_buffered_samples}",
                 ),
                 [],
-            ),
-            outputs,
+            )
         )

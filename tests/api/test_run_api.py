@@ -1,21 +1,13 @@
-"""The unified run API: ScenarioSpec validation, Session runs, shims, CLI."""
+"""The unified run API: ScenarioSpec validation, Session runs, CLI."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import MetricsRegistry, Observer, RunReport, ScenarioSpec, Session
+from repro.api import MacKnobs, PhyKnobs
 from repro.obs import validate_run_report
-from repro.utils.deprecation import reset_warned
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 class TestScenarioSpec:
@@ -29,7 +21,7 @@ class TestScenarioSpec:
 
     def test_all_violations_reported_at_once(self):
         with pytest.raises(ValueError) as exc:
-            ScenarioSpec(kind="arq", max_attempts=0, distance_m=-1.0)
+            ScenarioSpec(kind="arq", mac=MacKnobs(max_attempts=0), distance_m=-1.0)
         msg = str(exc.value)
         assert "success_probability" in msg
         assert "max_attempts" in msg
@@ -37,11 +29,11 @@ class TestScenarioSpec:
 
     def test_ambient_preset_names_validated(self):
         with pytest.raises(ValueError):
-            ScenarioSpec(ambient="noon_on_mars")
-        ScenarioSpec(ambient="day")  # known preset
+            ScenarioSpec(phy=PhyKnobs(ambient="noon_on_mars"))
+        ScenarioSpec(phy=PhyKnobs(ambient="day"))  # known preset
 
     def test_describe_is_kind_specific_and_json_ready(self):
-        d = ScenarioSpec(kind="watchdog", success_probability=0.4).describe()
+        d = ScenarioSpec(kind="watchdog", mac=MacKnobs(success_probability=0.4)).describe()
         assert d["kind"] == "watchdog"
         assert "fail_threshold" in d
         assert "roll_deg" not in d
@@ -65,12 +57,14 @@ class TestSession:
         assert len(report.metric_names()) >= 10
 
     def test_arq_and_watchdog_kinds(self):
-        arq = Session(ScenarioSpec(kind="arq", success_probability=0.6)).run(n_packets=40)
+        arq = Session(
+            ScenarioSpec(kind="arq", mac=MacKnobs(success_probability=0.6))
+        ).run(n_packets=40)
         assert arq.summary["delivered"] + arq.summary["gave_up"] == 40
         assert "arq.attempts_total" in arq.metric_names()
-        dog = Session(ScenarioSpec(kind="watchdog", success_probability=0.2)).run(
-            n_packets=20
-        )
+        dog = Session(
+            ScenarioSpec(kind="watchdog", mac=MacKnobs(success_probability=0.2))
+        ).run(n_packets=20)
         assert dog.summary["final_rate_bps"] > 0
         assert "mac.watchdog.actions_total" in dog.metric_names()
 
@@ -88,55 +82,6 @@ class TestSession:
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
             Session({"kind": "packet"})
-
-
-class TestDeprecatedShims:
-    """Old entry points keep working and warn exactly once per process."""
-
-    def test_run_packet_shim_matches_and_warns_once(self):
-        from repro import PacketSimulator
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = PacketSimulator(payload_bytes=8)
-            r = sim.run_packet(rng=5)
-            sim.run_packet(rng=6)
-        deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "Session" in str(deps[0].message)
-        assert r.ber == PacketSimulator(payload_bytes=8)._run_packet(rng=5).ber
-
-    def test_arq_simulate_shim(self):
-        from repro.mac.arq import StopAndWaitARQ
-
-        arq = StopAndWaitARQ(max_attempts=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = arq.simulate(0.5, 20, rng=3)
-        assert stats.delivered + stats.gave_up == 20
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        # Shim and implementation agree bit-for-bit.
-        assert stats == arq._simulate(0.5, 20, rng=3)
-
-    def test_watchdog_simulate_shim(self):
-        from repro.mac.watchdog import LinkWatchdog
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = LinkWatchdog().simulate(lambda rate: 0.5, 10, rng=2)
-        assert stats.delivered + stats.gave_up == 10
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_make_simulator_shim(self):
-        from repro.experiments.common import make_simulator
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim = make_simulator(distance_m=2.0, payload_bytes=8)
-        assert sim.frame.payload_bytes == 8
-        deps = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert "ScenarioSpec" in str(deps[0].message)
 
 
 class TestBatchObserver:
@@ -197,8 +142,8 @@ class TestOverheadGuard:
         spec_seed = 9
         from repro.phy.pipeline import PacketSimulator
 
-        plain = PacketSimulator(payload_bytes=8, rng=3)._run_packet(rng=spec_seed)
-        observed = PacketSimulator(payload_bytes=8, rng=3, observer=Observer())._run_packet(
+        plain = PacketSimulator(payload_bytes=8, rng=3).run_packet(rng=spec_seed)
+        observed = PacketSimulator(payload_bytes=8, rng=3, observer=Observer()).run_packet(
             rng=spec_seed
         )
         assert plain.ber == observed.ber

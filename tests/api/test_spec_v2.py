@@ -1,4 +1,4 @@
-"""ScenarioSpec v2: nested knob groups, flat-kwarg compat, fingerprints.
+"""ScenarioSpec v2: nested knob groups, fingerprints, knob rejection.
 
 The api_redesign wall.  Three contracts pinned here:
 
@@ -6,16 +6,16 @@ The api_redesign wall.  Three contracts pinned here:
    byte-identical to the flat v1 spec's output (the frozen JSON strings
    below were captured from the pre-redesign implementation), so no
    sweep-journal fingerprint moves.
-2. **Warn-once migration shim** — old flat knob kwargs still construct,
-   emitting exactly one ``DeprecationWarning`` per process; nested
-   construction is silent.
-3. **Cross-kind knob rejection** — a knob aimed at a group the active
-   kind does not read is a *validation error* naming the owning group
-   (v1 silently ignored it), aggregated with every other violation.
+2. **No flat knobs** — v1's flat knob keywords are unknown keywords (a
+   ``TypeError``); knobs are passed only in their groups, silently.
+3. **Cross-kind knob rejection** — a knob group the active kind does not
+   read is a *validation error* (v1 silently ignored such knobs),
+   aggregated with every other violation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -35,14 +35,6 @@ from repro.api import (
     scenario_catalog_names,
 )
 from repro.channel.trajectory import Trajectory, Waypoint
-from repro.utils.deprecation import reset_warned
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_warned()
-    yield
-    reset_warned()
 
 
 # Captured verbatim from the v1 flat ScenarioSpec (pre-redesign).  These
@@ -118,23 +110,6 @@ class TestFingerprintFreeze:
         kwargs, frozen = V1_FINGERPRINTS[case]
         assert json.dumps(ScenarioSpec(**kwargs).describe()) == frozen
 
-    @pytest.mark.parametrize("case", sorted(V1_FINGERPRINTS))
-    def test_flat_kwargs_reach_the_same_fingerprint(self, case):
-        """The migration shim: flat construction == nested construction."""
-        kwargs, frozen = V1_FINGERPRINTS[case]
-        flat = {k: v for k, v in kwargs.items() if not hasattr(v, "problems")}
-        for group in kwargs.values():
-            if hasattr(group, "problems"):
-                flat.update(
-                    {
-                        f.name: getattr(group, f.name)
-                        for f in group.__dataclass_fields__.values()
-                    }
-                )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert json.dumps(ScenarioSpec(**flat).describe()) == frozen
-
     def test_trajectory_describe_embeds_full_geometry(self):
         d = named_scenario("drive_by_reader").describe()
         assert d["kind"] == "trajectory"
@@ -147,14 +122,7 @@ class TestFingerprintFreeze:
 
 
 class TestMigrationShim:
-    def test_flat_kwargs_warn_once_per_process(self):
-        with pytest.warns(DeprecationWarning, match="flat ScenarioSpec knob kwargs"):
-            spec = ScenarioSpec(kind="packet", roll_deg=25.0)
-        assert spec.roll_deg == 25.0
-        assert spec.phy == PhyKnobs(roll_deg=25.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ScenarioSpec(kind="packet", yaw_deg=5.0)  # second use: silent
+    """What is left of the v1 migration: groups only, and silently."""
 
     def test_nested_construction_never_warns(self):
         with warnings.catch_warnings():
@@ -162,37 +130,13 @@ class TestMigrationShim:
             ScenarioSpec(kind="packet", phy=PhyKnobs(roll_deg=25.0))
             ScenarioSpec(kind="arq", mac=MacKnobs(success_probability=0.5))
 
-    def test_flat_kwargs_override_explicit_group(self):
-        with pytest.warns(DeprecationWarning):
-            spec = ScenarioSpec(
-                kind="packet", phy=PhyKnobs(roll_deg=1.0, yaw_deg=2.0), roll_deg=30.0
-            )
-        assert spec.phy == PhyKnobs(roll_deg=30.0, yaw_deg=2.0)
-
-    def test_shared_resync_knobs_route_by_kind(self):
-        with pytest.warns(DeprecationWarning):
-            mob = ScenarioSpec(kind="mobility", sync_interval_slots=8, resync=False)
-        assert mob.mobility == MobilityKnobs(sync_interval_slots=8, resync=False)
-        assert mob.trajectory is None
-        traj = ScenarioSpec(kind="trajectory", sync_interval_slots=8)
-        assert traj.trajectory.sync_interval_slots == 8
-        assert traj.mobility is None
-
-    def test_flat_reads_fall_back_to_group_defaults(self):
-        spec = ScenarioSpec(kind="arq", mac=MacKnobs(success_probability=0.5))
-        # Knobs of inactive groups read as their defaults, as in v1.
-        assert spec.roll_deg == 0.0
-        assert spec.chunk_samples == 256
-        assert spec.sync_interval_slots == 64
-        assert spec.resync is True
-
     def test_unknown_kwarg_is_type_error(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'warp'"):
             ScenarioSpec(kind="packet", warp=9)
 
 
 class TestCrossKindRejection:
-    """Satellite 2: knobs outside the active kind's group are errors."""
+    """Knobs outside the active kind's group are errors."""
 
     @pytest.mark.parametrize(
         ("kind", "knob", "owner"),
@@ -207,14 +151,12 @@ class TestCrossKindRejection:
         ],
     )
     def test_flat_knob_for_inactive_group_rejected(self, kind, knob, owner):
-        extra = {"success_probability": 0.5} if kind in ("arq", "watchdog") else {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError) as err:
-                ScenarioSpec(kind=kind, **extra, **knob)
+        """A bare v1 knob keyword is an unknown keyword, whichever group
+        (``owner``) it belongs in and whichever kind is active."""
+        extra = {"mac": MacKnobs(success_probability=0.5)} if kind in ("arq", "watchdog") else {}
         (name,) = knob
-        assert f"{name!r} belongs to {owner}" in str(err.value)
-        assert f"not available for kind={kind!r}" in str(err.value)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument {name!r}"):
+            ScenarioSpec(kind=kind, **extra, **knob)
 
     @pytest.mark.parametrize(
         ("kind", "group"),
@@ -235,18 +177,19 @@ class TestCrossKindRejection:
             ScenarioSpec(kind="packet", phy=MacKnobs())
 
     def test_all_violations_aggregated(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError) as err:
-                ScenarioSpec(
-                    kind="arq", rate_bps=-1.0, payload_bytes=0, chunk_samples=16
-                )
+        with pytest.raises(ValueError) as err:
+            ScenarioSpec(
+                kind="arq",
+                rate_bps=-1.0,
+                payload_bytes=0,
+                stream=StreamKnobs(chunk_samples=16),
+            )
         msg = str(err.value)
         assert msg.startswith("invalid ScenarioSpec: ")
         for fragment in (
             "rate_bps must be positive",
             "payload_bytes must be >= 1",
-            "'chunk_samples' belongs to StreamKnobs",
+            "stream knobs are not available for kind='arq'",
             "kind='arq' requires success_probability",
         ):
             assert fragment in msg
@@ -298,14 +241,18 @@ class TestTrajectoryKind:
 
 
 class TestReplace:
-    def test_replace_routes_flat_and_group_keys(self):
+    def test_replace_swaps_shared_fields_and_groups(self):
         spec = named_scenario("drive_by_reader")
         bumped = spec.replace(seed=99)
         assert bumped.seed == 99
         assert bumped.trajectory == spec.trajectory
-        retuned = spec.replace(packet_interval_s=0.5)
+        retuned = spec.replace(
+            trajectory=dataclasses.replace(spec.trajectory, packet_interval_s=0.5)
+        )
         assert retuned.trajectory.packet_interval_s == 0.5
         assert retuned.trajectory.trajectory == spec.trajectory.trajectory
+        with pytest.raises(TypeError, match="unknown field 'packet_interval_s'"):
+            spec.replace(packet_interval_s=0.5)
 
     def test_replace_kind_change_drops_stale_groups(self):
         spec = ScenarioSpec(kind="packet", phy=PhyKnobs(roll_deg=10.0))

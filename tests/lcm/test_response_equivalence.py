@@ -20,7 +20,8 @@ from repro.lcm.response import (
     is_uniform_tick_grid,
     tick_sample_boundaries,
 )
-from repro.lcm.response_reference import ReferenceLCResponseModel
+
+from reference.response_reference import ReferenceLCResponseModel
 
 TOL = 1e-12
 

@@ -22,10 +22,11 @@ from repro.lcm.array import LCMArray
 from repro.lcm.heterogeneity import HeterogeneityModel
 from repro.modem.config import ModemConfig, preset_for_rate
 from repro.modem.dfe import DFEDemodulator
-from repro.modem.dfe_reference import ReferenceDFEDemodulator
 from repro.modem.references import ReferenceBank, assemble_waveform
 from repro.optics.geometry import LinkGeometry
 from repro.phy.pipeline import PacketSimulator
+
+from reference.dfe_reference import ReferenceDFEDemodulator
 
 # One small bank per (L, P, V), collected lazily and reused.
 _BANKS: dict[tuple[int, int, int], ReferenceBank] = {}

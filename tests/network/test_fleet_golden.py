@@ -1,8 +1,9 @@
 """Golden replay of the fleet's shared per-tag bookkeeping.
 
-Both serving engines share the simulator's association, heartbeat and
-handoff bookkeeping, so the engine-equivalence wall cannot see a defect in
-it: a wrong ``silent_since`` or a lost detach count would agree on both
+The store path and the scalar reference path
+(:class:`~reference.fleet_reference.ReferenceFleetSimulator`) share the
+simulator's association, heartbeat and handoff bookkeeping, so the
+engine-equivalence wall cannot see a defect in it: a wrong ``silent_since`` or a lost detach count would agree on both
 sides.  This wall pins that bookkeeping to values recorded from the
 object-per-tag implementation the struct-of-arrays tag table replaced — the
 full ``row()`` plus every tag's association fields, handoff latencies and
@@ -15,7 +16,7 @@ Floats are stored as ``float.hex`` strings, so the replay is exact.
 Regenerate deliberately (a knowing behaviour change, never to make a red
 test green), from the repository root::
 
-    PYTHONPATH=src python tests/network/test_fleet_golden.py --force
+    PYTHONPATH=src:tests python tests/network/test_fleet_golden.py --force
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import pytest
 
 from repro.faults.network import network_scenario, network_scenario_names
 from repro.network.fleet import FleetConfig, FleetSimulator
+
+from reference.fleet_reference import ReferenceFleetSimulator
 
 GOLDEN = Path(__file__).parent / "golden" / "fleet_bookkeeping.json"
 
@@ -60,11 +63,11 @@ def _exact(value):
     return value
 
 
-def capture(case: str, engine: str = "store") -> dict:
+def capture(case: str, simulator: type[FleetSimulator] = FleetSimulator) -> dict:
     """Run one case; its row and per-tag bookkeeping, floats exact."""
     config, scenario = CASES[case]
     plan = network_scenario(scenario, config.duration_s) if scenario else None
-    result = FleetSimulator(config, fault_plan=plan, root_seed=SEED, engine=engine).run()
+    result = simulator(config, fault_plan=plan, root_seed=SEED).run()
     tags = [
         {
             "reader_id": tag.reader_id,
@@ -106,10 +109,12 @@ def test_golden_covers_every_case(golden):
     assert list(golden) == list(CASES)
 
 
-@pytest.mark.parametrize("engine", ["store", "reference"])
+@pytest.mark.parametrize(
+    "simulator", [FleetSimulator, ReferenceFleetSimulator], ids=["store", "reference"]
+)
 @pytest.mark.parametrize("case", list(CASES))
-def test_bookkeeping_replays_exactly(golden, case, engine):
-    got = capture(case, engine)
+def test_bookkeeping_replays_exactly(golden, case, simulator):
+    got = capture(case, simulator)
     want = golden[case]
     assert got["row"] == want["row"]
     assert len(got["tags"]) == len(want["tags"])

@@ -1,11 +1,12 @@
 """Equivalence wall: vectorized fleet round engine vs frozen scalar spec.
 
 The vectorized struct-of-arrays engine
-(:class:`repro.network.linkstore.LinkStateStore`, ``engine="store"``) must
-reproduce the frozen scalar reference
-(:class:`repro.network.link_reference.ReferenceTagLinkState`,
-``engine="reference"``) *bit for bit*: identical per-tag ``snapshot()``
-dicts, identical :class:`~repro.network.link.FrameOutcome` sequences in
+(:class:`repro.network.linkstore.LinkStateStore`, served by
+:class:`~repro.network.fleet.FleetSimulator`) must reproduce the frozen
+scalar reference (:class:`~reference.link_reference.ReferenceTagLinkState`,
+served by :class:`~reference.fleet_reference.ReferenceFleetSimulator`)
+*bit for bit*: identical per-tag ``snapshot()``
+dicts, identical :class:`~repro.network.linkstore.FrameOutcome` sequences in
 global service order, and identical ``timeline_digest``s — under random
 fleet configs, chaos plans, and the reader-crash handoff sequences, and
 invariantly across worker pools and crash/resume replays.
@@ -20,14 +21,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.network.fleet
 from repro.errors import ConfigError
 from repro.experiments.network_scale import network_scale_grid
 from repro.experiments.sweeps import SimulatedCrash, canonical_records
 from repro.faults.network import NETWORK_SCENARIOS, network_scenario_names
 from repro.network.fleet import FleetConfig, FleetSimulator
-from repro.network.link_reference import ReferenceTagLinkState
 from repro.network.linkstore import LinkStateStore
 from repro.mac.rate_adapt import default_profile
+
+from reference.fleet_reference import ReferenceFleetSimulator
+from reference.link_reference import ReferenceTagLinkState
 
 SCENARIOS = [None, *network_scenario_names()]
 
@@ -37,13 +41,11 @@ def _run_pair(cfg, scenario, seed):
     plan = None if scenario is None else NETWORK_SCENARIOS[scenario](cfg.duration_s)
     if plan is not None and plan.max_reader_id() >= cfg.n_readers:
         plan = None  # scenario does not fit this deployment; run clean
-    ref_sim = FleetSimulator(
-        cfg, fault_plan=plan, root_seed=seed, engine="reference", record_frames=True
+    ref_sim = ReferenceFleetSimulator(
+        cfg, fault_plan=plan, root_seed=seed, record_frames=True
     )
     ref = ref_sim.run()
-    vec_sim = FleetSimulator(
-        cfg, fault_plan=plan, root_seed=seed, engine="store", record_frames=True
-    )
+    vec_sim = FleetSimulator(cfg, fault_plan=plan, root_seed=seed, record_frames=True)
     vec = vec_sim.run()
     return ref_sim, ref, vec_sim, vec
 
@@ -136,21 +138,17 @@ class TestDirectedCorners:
         tag carries across readers is the same view, same snapshot."""
         cfg = FleetConfig(n_readers=3, n_tags=12, duration_s=25.0)
         plan = NETWORK_SCENARIOS["reader_crash"](cfg.duration_s)
-        sim = FleetSimulator(cfg, fault_plan=plan, root_seed=3, engine="store")
+        sim = FleetSimulator(cfg, fault_plan=plan, root_seed=3)
         res = sim.run()
         assert res.handoffs > 0
         for tag in res.tags:
             assert tag.link.store is res.store
             assert tag.link.snapshot() == res.store.snapshot(tag.tag_id)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown fleet engine"):
-            FleetSimulator(FleetConfig(), engine="bogus")
-
     def test_store_aggregates_match_per_tag_sums(self):
         cfg = FleetConfig(n_readers=2, n_tags=16, duration_s=15.0)
         res = FleetSimulator(cfg, root_seed=9).run()
-        assert res.store is not None
+        assert isinstance(res.store, LinkStateStore)
         assert res.delivered == sum(t.link.delivered for t in res.tags)
         assert res.abandoned == sum(t.link.abandoned for t in res.tags)
         assert res.attempts == sum(t.link.attempts for t in res.tags)
@@ -294,16 +292,21 @@ class TestSweepInvariance:
         root_seed=11,
     )
 
-    def test_store_rows_match_reference_rows(self, tmp_path):
-        vec = network_scale_grid(**self.GRID, engine="store")
-        ref = network_scale_grid(**self.GRID, engine="reference")
-        for scenario, rows in vec.items():
-            for row_vec, row_ref in zip(rows, ref[scenario]):
-                # Same cell, same bits — only the recorded kwargs differ
-                # (the reference engine is spelled out in its task).
-                assert row_vec["timeline_digest"] == row_ref["timeline_digest"]
-                assert row_vec["delivered"] == row_ref["delivered"]
-                assert row_vec["fairness_jain"] == row_ref["fairness_jain"]
+    def test_store_rows_match_reference_rows(self, monkeypatch):
+        vec = network_scale_grid(**self.GRID)
+        runs = []
+
+        class CountingReference(ReferenceFleetSimulator):
+            def run(self):
+                runs.append(self)
+                return super().run()
+
+        # fleet_scale_task imports FleetSimulator when it runs, so the
+        # serial sweep picks up the reference subclass.
+        monkeypatch.setattr(repro.network.fleet, "FleetSimulator", CountingReference)
+        ref = network_scale_grid(**self.GRID)
+        assert len(runs) == len(self.GRID["n_tags_list"])
+        assert ref == vec
 
     def test_serial_pool_resume_bit_identical(self, tmp_path):
         serial = network_scale_grid(

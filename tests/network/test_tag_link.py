@@ -1,4 +1,10 @@
-"""Migration-safe per-tag link state: adaptation, ARQ window, snapshots."""
+"""Migration-safe per-tag link state: adaptation, ARQ window, snapshots.
+
+Driven one slot at a time through a :class:`TagLinkView` onto a
+:class:`LinkStateStore` (the scalar path unit drills use); the fleet's
+vectorized rounds are walled to the same transitions in
+``test_linkstore_equivalence.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +13,17 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mac.rate_adapt import default_profile
-from repro.network.link import TagLinkState
+from repro.network.linkstore import LinkStateStore, TagLinkView
 
 
-def make_link(**kwargs) -> TagLinkState:
-    return TagLinkState(default_profile(), **kwargs)
+def make_link(**kwargs) -> TagLinkView:
+    return LinkStateStore(default_profile(), n_tags=1, **kwargs).view(0)
 
 
 class TestBasics:
     def test_starts_on_most_robust_rung(self):
         link = make_link()
+        assert link.rung_index == 0
         assert link.rate_bps == min(int(r.rate_bps) for r in default_profile().rates)
 
     def test_airtime_shrinks_with_rate(self):
@@ -73,14 +80,14 @@ class TestAdaptation:
         rung = link.rate_bps
         link.attempt_frame(-40.0, rng)
         assert link.rate_bps < rung
-        assert not link.watchdog.recovery_ready
+        assert not link.recovery_ready
         # One clean frame is not enough to raise again (recover_after=3).
         link.attempt_frame(70.0, rng)
         assert link.rate_bps < rung
         # Two more clears the hysteresis; the next success raises.
         link.attempt_frame(70.0, rng)
         link.attempt_frame(70.0, rng)
-        assert link.watchdog.recovery_ready
+        assert link.recovery_ready
 
 
 class TestSnapshot:

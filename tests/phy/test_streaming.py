@@ -2,8 +2,8 @@
 
 The bit-identity contract lives in ``test_streaming_equivalence.py`` and
 the golden walls; this file covers the machinery around it — capture
-delimiting, the run() generator, a capture whose stages raise,
-backpressure policy, the ``stream.*`` gauges, the batch truncation ladder on a short buffer, and the stage
+delimiting, the run() generator, a capture whose stages raise (alone or
+inside a push that spans several captures), backpressure policy, the ``stream.*`` gauges, the batch truncation ladder on a short buffer, and the stage
 counters and spans a streamed capture records through the receiver's one
 stage sequence.
 """
@@ -211,6 +211,69 @@ class TestRaisingCapture:
         assert out.detection == batch.detection and out.events == batch.events
 
 
+class TestRaisingCaptureInOnePush:
+    """A push that spans several captures delivers one outcome per capture,
+    in capture order, and ingests every sample even when a capture in the
+    middle raises."""
+
+    @staticmethod
+    def _outcomes(rx, chunks) -> list:
+        """Every outcome the stream delivers: outputs and raised errors,
+        pushing each chunk, then closing until nothing is left."""
+        got = []
+        for chunk in chunks:
+            try:
+                got.extend(rx.push(chunk))
+            except EqualizationError as exc:
+                got.append(exc)
+        while True:
+            try:
+                outs = rx.close()
+            except EqualizationError as exc:
+                got.append(exc)
+                continue
+            if not outs:
+                return got
+            got.extend(outs)
+
+    @pytest.mark.parametrize("one_push", [True, False], ids=["one-push", "push-per-capture"])
+    def test_middle_capture_raises(self, fast_config, monkeypatch, one_push):
+        sim = PacketSimulator(config=fast_config, payload_bytes=6, rng=99, hardened=False)
+        caps = [sim.make_capture(rng=seed) for seed in (3, 4, 5)]
+        n = max(cap.samples.size for cap in caps) + 300
+        padded = [
+            np.concatenate([c.samples, np.full(n - c.samples.size, c.samples[-1])])
+            for c in caps
+        ]
+        stop = max(cap.search_stop for cap in caps)
+        batch = [sim.receiver.receive(x, search_stop=stop) for x in padded]
+        demodulate = DFEDemodulator.demodulate
+        calls = []
+
+        def fail_second(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise EqualizationError("injected")
+            return demodulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(DFEDemodulator, "demodulate", fail_second)
+        rx = StreamingReceiver(sim.receiver, capture_samples=n, search_stop=stop)
+        chunks = [np.concatenate(padded)] if one_push else padded
+        got = self._outcomes(rx, chunks)
+        assert [type(o).__name__ for o in got] == [
+            "ReceiverOutput",
+            "EqualizationError",
+            "ReceiverOutput",
+        ]
+        assert len(calls) == 3 and rx.captures_completed == 3
+        for out, want, cap in zip((got[0], got[2]), (batch[0], batch[2]), (caps[0], caps[2])):
+            assert out.crc_ok and out.payload == want.payload == cap.payload
+            np.testing.assert_array_equal(out.levels_i, want.levels_i)
+            np.testing.assert_array_equal(out.levels_q, want.levels_q)
+            assert out.equalizer_mse == want.equalizer_mse
+            assert out.detection == want.detection and out.events == want.events
+
+
 class TestBackpressure:
     def test_oversized_capture_is_dropped_and_classified(self, sim, capture):
         rx = StreamingReceiver(sim.receiver, max_buffered_samples=64)
@@ -393,7 +456,7 @@ class TestPipelineCaptureFactory:
     def test_run_packet_consumes_make_capture(self, sim):
         """The packet loop and the factory must stay the same synthesis:
         decoding the factory's capture reproduces run_packet on the seed."""
-        res = sim._run_packet(rng=np.random.default_rng(43))
+        res = sim.run_packet(rng=np.random.default_rng(43))
         cap = sim.make_capture(rng=np.random.default_rng(43))
         assert res.snr_link_db == cap.link_snr_db
         rx = sim.receiver.receive(cap.samples, 0, cap.search_stop)

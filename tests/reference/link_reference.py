@@ -1,30 +1,27 @@
-"""Per-tag link state: the object a handoff migrates, never resets.
+"""Frozen scalar per-tag link path: the vectorized engine's executable spec.
 
-The paper's single-reader MAC closes its adaptation loop inside
-:class:`repro.mac.session.LinkSession`; at fleet scale each tag carries the
-same adaptation state — watchdog-supervised rate position on the PHY
-ladder, success streak, and the stop-and-wait ARQ window — in a compact,
-migration-safe :class:`TagLinkState`.  When a tag hands off to a neighbor
-reader the *state object moves with it*: the ARQ attempt count of the
-in-flight frame, the rate rung, and the recovery-hysteresis position all
-survive, so a handoff costs discovery latency but never replays delivered
-frames or re-probes the ladder from scratch.
+This module is a **verbatim freeze** of :class:`repro.network.link.
+TagLinkState` as it stood before the struct-of-arrays
+:class:`~repro.network.linkstore.LinkStateStore` replaced it on the fleet
+hot path (the same freeze-then-vectorize pattern as
+:mod:`repro.modem.dfe_reference` and :mod:`repro.lcm.response_reference`).
+It is the ground truth the equivalence wall
+(``tests/network/test_linkstore_equivalence.py``) and the fleet-scale
+benchmark (``benchmarks/bench_fleet_scale.py``) drive against: for any
+fleet config, chaos plan, and handoff sequence, the vectorized engine must
+reproduce this path's per-tag ``snapshot()`` dicts,
+:class:`~repro.network.link.FrameOutcome` sequences, and timeline digests
+bit for bit.
 
-Two implementations share these semantics bit for bit:
-
-* this scalar class — the standalone, object-per-tag form (kept for unit
-  drills and external callers), now carrying its ladder position as a rung
-  *index* instead of re-searching the ladder on every raise;
-* :class:`repro.network.linkstore.LinkStateStore` — the struct-of-arrays
-  form the fleet simulator serves whole schedules through.
-
-The executable specification both are checked against is the frozen
-pre-vectorization copy in :mod:`repro.network.link_reference`.
+Do not optimise this file.  Its per-slot dict lookups, scalar
+``rng.random()`` draw, per-call :meth:`CodingOption.block_success`, and
+O(n) ladder scan in ``_raise_rate`` are the *specification* of the
+semantics (including the documented one-draw-per-attempt-per-tag-stream
+determinism contract), kept runnable so equivalence is checked against
+executed behaviour, never against a prose description.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,40 +29,17 @@ from repro.errors import ConfigError
 from repro.mac.arq import StopAndWaitARQ
 from repro.mac.rate_adapt import CodingOption, LinkProfile, RateOption
 from repro.mac.watchdog import LinkWatchdog
+from repro.network.linkstore import FrameOutcome
 
-__all__ = ["FrameOutcome", "TagLinkState"]
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    """One served TDMA slot, as accounted by the scheduler."""
-
-    delivered: bool
-    abandoned: bool
-    rate_bps: int
-    airtime_s: float
+__all__ = ["ReferenceTagLinkState"]
 
 
-class TagLinkState:
+class ReferenceTagLinkState:
     """Watchdog + ARQ + rate-streak state for one tag, reader-agnostic.
 
-    Parameters
-    ----------
-    profile:
-        The rate/coding database the ladder is built from.
-    coding:
-        Fixed Reed-Solomon option applied to every frame (fleet-scale runs
-        pin the coding and adapt the PHY rate; per-frame coding adaptation
-        stays a :class:`~repro.mac.session.LinkSession` concern).
-    payload_bytes / overhead_s:
-        Frame airtime model: ``overhead + payload_bits / rate``.
-    raise_after / fail_threshold / recover_after:
-        The adaptation loop's streak thresholds; ``recover_after`` is the
-        watchdog's recovery hysteresis (no raise after a fallback until
-        that many consecutive clean frames).
-    arq:
-        Stop-and-wait policy; the in-flight frame's attempt count is part
-        of this state and survives handoff.
+    Frozen scalar reference — see the module docstring.  The constructor
+    signature and every public member mirror the pre-vectorization
+    :class:`~repro.network.link.TagLinkState` exactly.
     """
 
     def __init__(
@@ -92,9 +66,9 @@ class TagLinkState:
         self.raise_after = raise_after
         self.arq = arq or StopAndWaitARQ()
         ladder = [int(r.rate_bps) for r in profile.rates]
-        #: Rate options indexed by rung (profile.rates is rate-sorted), so
-        #: the hot queries are index lookups, never dict/ladder searches.
-        self._rate_by_rung: list[RateOption] = list(profile.rates)
+        self._rate_by_bps: dict[int, RateOption] = {
+            int(r.rate_bps): r for r in profile.rates
+        }
         self.watchdog = LinkWatchdog(
             rates=ladder,
             initial_rate_bps=ladder[0],  # probe at the most robust rung
@@ -113,11 +87,6 @@ class TagLinkState:
     # -------------------------------------------------------------- queries
 
     @property
-    def rung_index(self) -> int:
-        """Ladder position of the current rung (0 = most robust)."""
-        return self.watchdog.rung_index
-
-    @property
     def rate_bps(self) -> int:
         """The rung currently assigned to this tag."""
         return self.watchdog.current_rate_bps
@@ -128,7 +97,7 @@ class TagLinkState:
         ``extra_fail_prob`` models schedule-corruption slot collisions —
         an independent failure mode multiplied into the PHY's block
         success."""
-        rate = self._rate_by_rung[self.watchdog.rung_index]
+        rate = self._rate_by_bps[self.rate_bps]
         p = self.coding.block_success(rate.ber(snr_db))
         return p * (1.0 - extra_fail_prob)
 
@@ -182,12 +151,10 @@ class TagLinkState:
         )
 
     def _raise_rate(self) -> None:
-        # The rung index *is* the state: a raise is index arithmetic, not
-        # the O(n) ``ladder.index(rate_bps)`` scan the frozen reference
-        # performs per raise (repro/network/link_reference.py).
-        idx = self.watchdog.rung_index
-        if idx + 1 < len(self.watchdog.ladder):
-            self.watchdog.observe_rung(idx + 1)
+        ladder = self.watchdog.ladder
+        idx = ladder.index(self.rate_bps)
+        if idx + 1 < len(ladder):
+            self.watchdog.observe_rate(ladder[idx + 1])
 
     # ---------------------------------------------------------- persistence
 

@@ -216,7 +216,7 @@ class TestSeamBitIdentity:
 
         def run():
             sim = FleetSimulator(
-                cfg, fault_plan=plan, root_seed=21, engine="store", record_frames=True
+                cfg, fault_plan=plan, root_seed=21, record_frames=True
             )
             return sim, sim.run()
 
