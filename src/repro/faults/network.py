@@ -177,7 +177,7 @@ class ReaderOcclusion(NetworkFault):
             raise ConfigError("reader_id must be non-negative")
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
-        if self.snr_penalty_db <= 0:
+        if not self.snr_penalty_db > 0:  # NaN fails too
             raise ConfigError("snr_penalty_db must be positive")
 
     def events(self) -> list[tuple[float, str, dict]]:

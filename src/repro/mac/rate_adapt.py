@@ -39,6 +39,8 @@ class RateOption:
     def ber(self, snr_db: float) -> float:
         """Raw bit error rate at a given SNR (waterfall model, capped at 0.5)."""
         exponent = 2.0 + (snr_db - self.threshold_db) / self.waterfall_db
+        if -exponent > 1:  # 10 ** -exponent > 10 clips to 0.5 (and may overflow)
+            return 0.5
         return float(np.clip(10.0 ** (-exponent), 1e-12, 0.5))
 
 

@@ -43,6 +43,12 @@ class EventQueue:
     ``push`` stamps a monotone sequence number, so two events scheduled for
     the same instant always pop in scheduling order — regardless of kind,
     payload, or heap internals.
+
+    A batch of future occurrences can stand in the heap as one event:
+    :meth:`reserve` hands it the block of sequence numbers its pushes
+    would have taken (so every later ``push`` is stamped as if they had
+    happened), and :meth:`push_keyed` queues it under the ``(time, seq)``
+    key of its earliest occurrence, which :meth:`peek_key` compares with.
     """
 
     def __init__(self) -> None:
@@ -64,6 +70,28 @@ class EventQueue:
         self._seq += 1
         return event
 
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` sequence numbers; returns the first of them."""
+        if n < 0:
+            raise ValueError(f"cannot reserve {n} sequence numbers")
+        first = self._seq
+        self._seq += n
+        return first
+
+    def push_keyed(self, time: float, seq: int, kind: str, **payload: Any) -> Event:
+        """Schedule ``kind`` under a ``seq`` taken by :meth:`reserve`.
+
+        The caller keeps ``(time, seq)`` keys unique: each reserved seq
+        stands for one pending occurrence at a time.
+        """
+        if time < 0:
+            raise ValueError(f"cannot schedule into negative time ({time})")
+        if not 0 <= seq < self._seq:
+            raise ValueError(f"sequence number {seq} was never reserved")
+        event = Event(time=float(time), seq=int(seq), kind=kind, payload=payload)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
+        return event
+
     def pop(self) -> Event:
         """Remove and return the earliest event (ties: scheduling order)."""
         return heapq.heappop(self._heap)[2]
@@ -71,6 +99,10 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Time of the next event, or None when empty."""
         return self._heap[0][0] if self._heap else None
+
+    def peek_key(self) -> tuple[float, int] | None:
+        """``(time, seq)`` of the next event, or None when empty."""
+        return self._heap[0][:2] if self._heap else None
 
 
 _MASK32 = 0xFFFFFFFF
@@ -224,6 +256,12 @@ class LazyStreams:
     :meth:`random_each` draws once from many streams at a time; fresh
     streams (never built or drawn) get that draw from array arithmetic and
     are only counted, so a stream drawn once never builds a generator.
+    Which streams are fresh is kept in one per-stream bool array, so a
+    bulk draw looks its streams up without a Python step per index.  It
+    reserves ``n`` bytes of address space (1 MB for a million-tag fleet,
+    4 GiB for a ``2**32``-stream window); allocated zeroed, it takes
+    memory only for the pages of touched streams where the OS hands out
+    zero pages lazily.
     """
 
     def __init__(self, root_seed: int, offset: int, n: int):
@@ -231,9 +269,10 @@ class LazyStreams:
         self._offset = int(offset)
         self._n = int(n)
         self._gens: dict[int, np.random.Generator] = {}
-        #: Bulk draws taken by streams not built yet (index -> count);
-        #: building one advances its generator past them.
-        self._drawn: dict[int, int] = {}
+        #: Whether each stream was built or drawn in bulk.  A stream set
+        #: here but not built took one bulk draw (a second draw takes the
+        #: scalar path, which builds it), so building it advances one step.
+        self._seen = np.zeros(self._n, dtype=bool)
         #: ``_root_mix(root_seed)``, computed on the first bulk draw.
         self._mixed_root: tuple | None = None
 
@@ -248,9 +287,9 @@ class LazyStreams:
         gen = self._gens.get(index)
         if gen is None:
             gen = _child_rng(self._root_seed, self._offset + index)
-            drawn = self._drawn.pop(index, 0)
-            if drawn:
-                gen.bit_generator.advance(drawn)
+            if self._seen[index]:
+                gen.bit_generator.advance(1)
+            self._seen[index] = True
             self._gens[index] = gen
         return gen
 
@@ -271,13 +310,14 @@ class LazyStreams:
             raise IndexError(f"stream indices out of range ({self._n} streams)")
         if self._offset + int(idx.max()) > _MASK32:
             raise ValueError("bulk draws need spawn keys below 2**32")
-        gens, drawn = self._gens, self._drawn
-        seen = np.fromiter(
-            (i in gens or i in drawn for i in idx.tolist()), dtype=bool, count=idx.size
-        )
+        seen = self._seen[idx]
         fresh = idx[~seen]
-        first = dict.fromkeys(fresh.tolist(), 1)
-        if len(first) != fresh.size:
+        # Ascending indices are distinct; only others need the sort.
+        if (
+            fresh.size > 1
+            and not (fresh[1:] > fresh[:-1]).all()
+            and np.unique(fresh).size != fresh.size
+        ):
             raise ValueError("random_each needs distinct indices")
         for pos in seen.nonzero()[0].tolist():
             out[pos] = self[int(idx[pos])].random()
@@ -286,7 +326,7 @@ class LazyStreams:
                 self._mixed_root = _root_mix(self._root_seed)
             keys = (fresh + self._offset).astype(np.uint32)
             out[~seen] = _pcg64_first_double(*_seed_words(*self._mixed_root, keys))
-            drawn.update(first)
+            self._seen[fresh] = True
         return out
 
 

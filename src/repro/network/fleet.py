@@ -46,7 +46,9 @@ touches, not ``n_tags``; ``sim.tags[i]`` is a :class:`TagState` view over
 one row, built on first access.  A beacon writes one time on its reader,
 not one per scheduled tag, and the heartbeat check looks only at tags that
 can have gone silent: orphans of a crashed reader, and the members of a
-reader that has stopped beaconing.
+reader that has stopped beaconing.  The tags one check detaches are
+queued as one re-association event, whose due attempts are admitted in
+array passes while their readers have room.
 """
 
 from __future__ import annotations
@@ -119,6 +121,8 @@ class FleetConfig:
             raise ConfigError("round_interval_s must be positive and finite")
         if not 0 < self.reader_spacing_m < math.inf:
             raise ConfigError("reader_spacing_m must be positive and finite")
+        if not self.span_m < math.inf:
+            raise ConfigError("n_readers * reader_spacing_m must be finite")
         if self.heartbeat_miss_threshold < 1:
             raise ConfigError("heartbeat_miss_threshold must be >= 1")
         if not 0 < self.reassoc_backoff_base_s < math.inf:
@@ -307,6 +311,40 @@ class TagTable:
             self._latencies.setdefault(tid, []).append(latency)
         self._indexed = len(log)
         return self._latencies.get(tag_id, [])
+
+
+class _Wave:
+    """A detach wave's pending re-association attempts, as one event.
+
+    Tag ids, attempt times and the sequence numbers their pushes would
+    have taken, in ``(time, seq)`` order; ``next`` is the first attempt not
+    yet handled.  The wave stands in the queue under that attempt's key.
+    """
+
+    __slots__ = ("tag_ids", "times", "seqs", "next")
+
+    def __init__(self, tag_ids: np.ndarray, times: np.ndarray, seqs: np.ndarray):
+        self.tag_ids = tag_ids
+        self.times = times
+        self.seqs = seqs
+        self.next = 0
+
+    def queue_next(self, index: int, queue: EventQueue) -> None:
+        """Put the wave back on ``queue`` from attempt ``index`` on."""
+        self.next = index
+        queue.push_keyed(
+            float(self.times[index]), int(self.seqs[index]), "reassoc", wave=self
+        )
+
+    def due_end(self, head: tuple[float, int] | None) -> int:
+        """One past the last attempt whose key precedes ``head``."""
+        if head is None:
+            return self.tag_ids.size
+        time, seq = head
+        lo = int(np.searchsorted(self.times, time, side="left"))
+        hi = int(np.searchsorted(self.times, time, side="right"))
+        # Equal times are in seq order (a stable sort of tag-id order).
+        return lo + int(np.searchsorted(self.seqs[lo:hi], seq))
 
 
 @dataclass
@@ -605,11 +643,7 @@ class FleetSimulator:
         ):
             return False
         for reader in self.readers:
-            ids = (best == reader.reader_id).nonzero()[0]  # tag-id order
-            reader.schedule.extend(ids.tolist())
-            reader._members.update(reader.schedule)
-            reader._sched_arr = None
-            reader.max_queue_depth = max(reader.max_queue_depth, len(reader.schedule))
+            reader.admit_many((best == reader.reader_id).nonzero()[0])  # tag-id order
         self.tags.reader[:] = best
         return True
 
@@ -660,7 +694,10 @@ class FleetSimulator:
         elif kind == "tag_check":
             self._tag_check(now, queue)
         elif kind == "reassoc":
-            self._reassoc_attempt(p["tag_id"], now, queue)
+            if "wave" in p:
+                self._reassoc_wave(p["wave"], queue)
+            else:
+                self._reassoc_attempt(p["tag_id"], now, queue)
         elif kind == "reader_crash":
             self._with_transition(p["reader_id"], now, Reader.crash)
         elif kind == "reader_restart":
@@ -803,8 +840,11 @@ class FleetSimulator:
         The stale set comes from the orphans and silent readers only
         (:meth:`TagTable.silent`); the detach writes are array assignments
         over it and the whole wave's backoff jitters are one bulk draw, one
-        per tag from its own stream.  Only the schedule drop, the observer
-        count and the push stay per stale tag.
+        per tag from its own stream.  The wave's attempts are queued as one
+        ``reassoc`` event (:class:`_Wave`) holding the sequence numbers
+        their pushes one by one would have taken.  Only tags still on a
+        schedule are dropped from it: a crashed reader's orphans are on
+        none.
         """
         cfg = self.config
         tags = self.tags
@@ -819,13 +859,101 @@ class FleetSimulator:
         tags.reassoc_attempts[stale] = 0
         tags.detaches[stale] += 1  # stale ids are distinct
         jitter = 0.5 + self._tag_rngs.random_each(stale)  # in [0.5, 1.5)
-        times = (now + self._backoff_s(0) * jitter).tolist()
-        for tag_id, reader_id, t in zip(stale.tolist(), lost.tolist(), times):  # tag-id order
-            self.readers[reader_id].drop(tag_id)
-            if self.obs.enabled:
+        times = now + self._backoff_s(0) * jitter
+        for reader in self.readers:
+            if reader.schedule:
+                mine = stale[lost == reader.reader_id]
+                for tag_id in mine[np.isin(mine, reader.schedule_array())].tolist():
+                    reader.drop(tag_id)
+        if self.obs.enabled:
+            for _ in range(stale.size):
                 self.obs.count("network.detach_total")
-            if t <= cfg.duration_s:
-                queue.push(t, "reassoc", tag_id=tag_id)
+        due = times <= cfg.duration_s
+        if due.any():
+            ids, times = stale[due], times[due]
+            seqs = queue.reserve(ids.size) + np.arange(ids.size)  # tag-id order
+            order = np.argsort(times, kind="stable")  # (time, seq) order
+            _Wave(ids[order], times[order], seqs[order]).queue_next(0, queue)
+
+    def _reassoc_wave(self, wave: _Wave, queue: EventQueue) -> None:
+        """A detach wave's attempts, up to the next other event.
+
+        Every attempt whose ``(time, seq)`` key precedes the queue's head
+        is due now, as it would be as an event of its own.  Reader health,
+        beaconing and occlusion change only at other events, so within
+        that window each tag's best reader is fixed, and while every
+        chosen reader has room the window is admitted as one array pass
+        (:meth:`_admit_in_bulk`).  From the first attempt that finds its
+        reader full, the rest go through :meth:`_reassoc_attempt` one by
+        one, with the head checked before each, since a failed attempt
+        queues a retry that may come first.  The rest of the wave goes
+        back on the queue under its own key.  Every attempt counts as one
+        processed event.
+        """
+        start = wave.next
+        end = wave.due_end(queue.peek_key())
+        ids = wave.tag_ids[start:end]
+        free = self.tags.reader[ids] < 0  # admitted since the check: skipped
+        n_free = int(np.count_nonzero(free))
+        n_bulk = self._admit_in_bulk(ids[free], wave.times[start:end][free])
+        # The first attempt left: past the window, or the one whose reader
+        # was full.
+        i = end if n_bulk == n_free else start + int(np.flatnonzero(free)[n_bulk])
+        n = wave.tag_ids.size
+        while i < n:
+            key = (float(wave.times[i]), int(wave.seqs[i]))
+            head = queue.peek_key()
+            if head is not None and key > head:
+                break
+            self._reassoc_attempt(int(wave.tag_ids[i]), key[0], queue)
+            i += 1
+        self._events_processed += i - start - 1  # the run loop counts one
+        if i < n:
+            wave.queue_next(i, queue)
+
+    def _admit_in_bulk(self, tag_ids: np.ndarray, times: np.ndarray) -> int:
+        """Admit the leading attempts whose best reader has room; returns
+        how many.
+
+        ``tag_ids`` are unassociated tags attempting at ``times``, in
+        attempt order.  Each picks, as :meth:`_try_associate` does, the
+        beaconing reader of highest ``snr - occlusion_db`` (first maximum:
+        lowest reader id), and the attempts are admitted there in order up
+        to the first one that would find its reader full.
+        """
+        beaconing = [r for r in self.readers if r.beaconing]
+        if not tag_ids.size or not beaconing:
+            return 0
+        rids = np.asarray([r.reader_id for r in beaconing])
+        occlusion = np.asarray([r.occlusion_db for r in beaconing], dtype=np.float64)
+        choice = rids[np.argmax(self._snr[tag_ids][:, rids] - occlusion, axis=1)]
+        n = tag_ids.size
+        for reader in beaconing:
+            picks = np.flatnonzero(choice == reader.reader_id)
+            room = reader.capacity - len(reader.schedule)
+            if picks.size > room:
+                n = min(n, int(picks[room]))
+        tag_ids, times, choice = tag_ids[:n], times[:n], choice[:n]
+        for reader in beaconing:
+            reader.admit_many(tag_ids[choice == reader.reader_id])
+        tags = self.tags
+        since = tags.silent_since[tag_ids]
+        latency = times - np.where(np.isnan(since), times, since)
+        self.handoff_log.extend(
+            zip(
+                times.tolist(),
+                tag_ids.tolist(),
+                tags.prev_reader[tag_ids].tolist(),
+                choice.tolist(),
+                latency.tolist(),
+            )
+        )
+        if self.obs.enabled:
+            for value in latency.tolist():
+                self.obs.count("network.handoffs_total")
+                self.obs.observe("network.handoff_latency_s", value)
+        self._admitted(tag_ids, choice, times)
+        return n
 
     def _backoff_s(self, attempts: int) -> float:
         """Nominal re-association backoff after ``attempts`` failures."""
@@ -868,10 +996,8 @@ class FleetSimulator:
         )
         for reader in candidates:
             if reader.admit(tag_id):
-                tags = self.tags
-                tags.reader[tag_id] = reader.reader_id
-                tags.heard_floor[tag_id] = now
                 if not initial:
+                    tags = self.tags
                     since = float(tags.silent_since[tag_id])
                     latency = now - (now if math.isnan(since) else since)
                     self.handoff_log.append(
@@ -880,8 +1006,20 @@ class FleetSimulator:
                     if self.obs.enabled:
                         self.obs.count("network.handoffs_total")
                         self.obs.observe("network.handoff_latency_s", latency)
-                tags.silent_since[tag_id] = math.nan
+                self._admitted(tag_id, reader.reader_id, now)
                 return True
         if self.obs.enabled and not initial:
             self.obs.count("network.reassoc_failures_total")
         return False
+
+    def _admitted(self, tag_ids, reader_ids, times) -> None:
+        """Tag-table writes for tags just admitted at ``times``: each has
+        heard its new reader then and is no longer silent.
+
+        Scalars or equal-length arrays; one attempt's admission and a bulk
+        admission both end here, after their handoff-log entries.
+        """
+        tags = self.tags
+        tags.reader[tag_ids] = reader_ids
+        tags.heard_floor[tag_ids] = times
+        tags.silent_since[tag_ids] = math.nan

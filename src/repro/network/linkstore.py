@@ -367,8 +367,13 @@ class LinkStateStore:
         rate = self._rate_by_rung[rung]
         coding = self.coding
         exponent = 2.0 + (snr_eff - rate.threshold_db) / rate.waterfall_db
-        # RateOption.ber: clip(10 ** -e, 1e-12, 0.5), elementwise-exact.
-        ber = [min(max(10.0 ** (-e), 1e-12), 0.5) for e in exponent.tolist()]
+        # RateOption.ber: clip(10 ** -e, 1e-12, 0.5), elementwise-exact;
+        # past -e > 1 the clip gives 0.5, so the pow (which overflows a
+        # Python float past 1e308) is skipped there.
+        ber = [
+            0.5 if -e > 1 else min(max(10.0 ** (-e), 1e-12), 0.5)
+            for e in exponent.tolist()
+        ]
         # CodingOption.block_success: symbol error then RS block decode.
         symbol_error = [1.0 - (1.0 - b) ** 8 for b in ber]
         if coding.t == 0:

@@ -156,6 +156,19 @@ class Reader:
         self.max_queue_depth = max(self.max_queue_depth, len(self.schedule))
         return True
 
+    def admit_many(self, tag_ids: np.ndarray) -> None:
+        """Admit distinct non-member tags in order, as ``admit`` one at a
+        time would when every one of them fits (the caller checks room)."""
+        if not tag_ids.size:
+            return
+        if not self.beaconing or len(self.schedule) + tag_ids.size > self.capacity:
+            raise ValueError(f"reader {self.reader_id} cannot admit {tag_ids.size} tags")
+        ids = tag_ids.tolist()
+        self.schedule.extend(ids)
+        self._members.update(ids)
+        self._sched_arr = None
+        self.max_queue_depth = max(self.max_queue_depth, len(self.schedule))
+
     def is_member(self, tag_id: int) -> bool:
         """Whether ``tag_id`` is on the schedule (O(1))."""
         return tag_id in self._members

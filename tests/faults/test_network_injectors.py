@@ -36,6 +36,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ReaderOcclusion(snr_penalty_db=0.0)
 
+    def test_nan_penalty_rejected(self):
+        """A NaN penalty has no place in the fleet's best-reader order."""
+        with pytest.raises(ConfigError, match="snr_penalty_db"):
+            ReaderOcclusion(snr_penalty_db=float("nan"))
+
     def test_plan_rejects_non_faults(self):
         with pytest.raises(ConfigError):
             NetworkFaultPlan([object()])

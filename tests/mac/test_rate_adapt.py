@@ -18,6 +18,11 @@ class TestRateOption:
         r = RateOption(8000, threshold_db=26.0)
         assert r.ber(-100.0) == 0.5
 
+    def test_ber_past_the_float_range_is_half(self):
+        """``10 ** 340`` overflows a Python float; the clip gives 0.5."""
+        r = RateOption(8000, threshold_db=26.0)
+        assert r.ber(-1000.0) == 0.5 and r.ber(-1e300) == 0.5
+
 
 class TestCodingOption:
     def test_uncoded_success(self):

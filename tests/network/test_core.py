@@ -48,6 +48,31 @@ class TestEventQueue:
         q.push(4.5, "x")
         assert q.peek_time() == 4.5 and len(q) == 1
 
+    def test_reserved_block_keeps_later_seqs(self):
+        """A reserved block stands for pushes made now: later pushes are
+        stamped after it, and keyed pushes from it order by their seq."""
+        q = EventQueue()
+        q.push(1.0, "before")
+        assert q.reserve(3) == 1 and q.reserve(0) == 4
+        assert q.push(1.0, "after").seq == 4
+        q.push_keyed(1.0, 2, "reserved")
+        assert q.peek_key() == (1.0, 0)
+        assert [(e.kind, e.seq) for e in (q.pop(), q.pop(), q.pop())] == [
+            ("before", 0), ("reserved", 2), ("after", 4)
+        ]
+        assert q.peek_key() is None
+
+    def test_keyed_push_needs_a_reserved_seq(self):
+        q = EventQueue()
+        q.reserve(2)
+        with pytest.raises(ValueError, match="never reserved"):
+            q.push_keyed(1.0, 2, "x")
+        with pytest.raises(ValueError, match="negative"):
+            q.push_keyed(-1.0, 0, "x")
+        with pytest.raises(ValueError, match="reserve"):
+            q.reserve(-1)
+        assert len(q) == 0
+
     def test_payload_carried(self):
         q = EventQueue()
         q.push(0.0, "crash", reader_id=2)
@@ -181,10 +206,14 @@ class TestBulkFirstDraws:
     def test_fresh_streams_stay_unbuilt(self):
         streams = LazyStreams(7, 0, 5000)
         u = streams.random_each(np.arange(0, 5000, 2))
-        assert not streams._gens and len(streams._drawn) == 2500
-        assert u[3] == _numpy_stream(7, 6).random()
-        streams[6].random()
-        assert list(streams._gens) == [6] and 6 not in streams._drawn
+        assert not streams._gens
+        assert streams._seen.nonzero()[0].tolist() == list(range(0, 5000, 2))
+        ref = _numpy_stream(7, 6)
+        assert u[3] == ref.random()
+        # Building a drawn stream resumes it after its bulk draw.
+        assert streams[6].random() == ref.random()
+        assert list(streams._gens) == [6]
+        assert streams._seen.nonzero()[0].tolist() == list(range(0, 5000, 2))
 
     def test_empty_and_invalid_indices(self):
         streams = LazyStreams(1, 0, 10)

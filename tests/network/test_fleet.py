@@ -60,6 +60,11 @@ class TestBaseline:
         with pytest.raises(ConfigError, match=name):
             FleetConfig(**{name: value})
 
+    def test_infinite_span_rejected(self):
+        """Each field is finite, but the deployment they span is not."""
+        with pytest.raises(ConfigError, match="reader_spacing_m"):
+            FleetConfig(n_readers=2, reader_spacing_m=1e308)
+
     def test_float_fields_cover_timing_and_backoff(self):
         assert {"duration_s", "round_interval_s", "reassoc_backoff_cap_s"} <= set(FLOAT_FIELDS)
 
@@ -67,6 +72,32 @@ class TestBaseline:
         plan = NetworkFaultPlan([ReaderCrash(reader_id=5, at_s=1.0)])
         with pytest.raises(ConfigError, match="targets reader 5"):
             FleetSimulator(FleetConfig(n_readers=3), fault_plan=plan)
+
+
+class TestLinksPastTheFloatRange:
+    """An SNR so low that ``10 ** -exponent`` leaves the float range: the
+    BER clips to 0.5 on the store path and the scalar reference alike,
+    where it used to raise an unclassified ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "config, plan",
+        [
+            (
+                FleetConfig(n_tags=30, duration_s=10.0),
+                NetworkFaultPlan(
+                    [ReaderOcclusion(reader_id=0, at_s=1.0, duration_s=5.0, snr_penalty_db=1000.0)]
+                ),
+            ),
+            (FleetConfig(n_tags=30, duration_s=10.0, reader_spacing_m=1e100), None),
+        ],
+        ids=["occlusion_1000db", "spacing_1e100m"],
+    )
+    def test_run_matches_reference(self, config, plan):
+        from reference.fleet_reference import ReferenceFleetSimulator
+
+        row = FleetSimulator(config, fault_plan=plan, root_seed=SEED).run().row()
+        assert row == ReferenceFleetSimulator(config, fault_plan=plan, root_seed=SEED).run().row()
+        assert row["attempts"] > 0
 
 
 class TestCrashAcceptance:

@@ -50,11 +50,11 @@ class ShadowFleet(FleetSimulator):
             self.shadow[reader.schedule_array()] = now
         super()._poll_round(reader, now)
 
-    def _try_associate(self, tag_id: int, now: float, initial: bool = False) -> bool:
-        admitted = super()._try_associate(tag_id, now, initial)
-        if admitted:
-            self.shadow[tag_id] = now
-        return admitted
+    def _admitted(self, tag_ids, reader_ids, times) -> None:
+        # One attempt's admission and a detach wave's bulk admission both
+        # end here.
+        super()._admitted(tag_ids, reader_ids, times)
+        self.shadow[tag_ids] = times
 
     def _tag_check(self, now: float, queue: EventQueue) -> None:
         cfg, tags = self.config, self.tags

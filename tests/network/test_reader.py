@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -84,6 +85,30 @@ class TestAdmission:
         r = make_reader()
         r.crash()
         assert not r.admit(1)
+
+    def test_admit_many_equals_admit_one_at_a_time(self):
+        bulk, one = make_reader(capacity=6), make_reader(capacity=6)
+        for r in (bulk, one):
+            r.admit(9)
+            r.schedule_array()  # cached, so the bulk admit must refresh it
+        bulk.admit_many(np.asarray([4, 1, 7]))
+        for tag_id in (4, 1, 7):
+            one.admit(tag_id)
+        for r in (bulk, one):
+            assert r.schedule == [9, 4, 1, 7] and r.max_queue_depth == 4
+            assert r.schedule_array().tolist() == [9, 4, 1, 7]
+            assert all(r.is_member(t) for t in (9, 4, 1, 7))
+        bulk.admit_many(np.empty(0, dtype=np.int64))
+        assert bulk.schedule == [9, 4, 1, 7]
+
+    def test_admit_many_refuses_what_does_not_fit(self):
+        r = make_reader(capacity=2)
+        with pytest.raises(ValueError, match="cannot admit"):
+            r.admit_many(np.asarray([1, 2, 3]))
+        r.crash()
+        with pytest.raises(ValueError, match="cannot admit"):
+            r.admit_many(np.asarray([1]))
+        assert r.schedule == [] and r.shed_associations == 0
 
     def test_discovery_queue_bounded(self):
         r = make_reader(discovery_queue_cap=10)
