@@ -11,6 +11,7 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/make_goldens.py          # refuses if fixtures exist
     PYTHONPATH=src python tests/golden/make_goldens.py --force  # explicit regeneration
     PYTHONPATH=src python tests/golden/make_goldens.py --receiver  # receiver records only
+    PYTHONPATH=src python tests/golden/make_goldens.py --mobility  # mobility records only
 
 Regenerating *moves the wall*: only do it deliberately (a knowing behaviour
 change), never to make a red test green.
@@ -321,6 +322,31 @@ def build_receiver_records(force: bool) -> dict[str, dict]:
     }
 
 
+def build_mobility_records(force: bool) -> dict[str, dict]:
+    """Freeze the mobility-record corpus of ``mobility_cases.py`` (``--mobility``).
+
+    One JSON line per case: its spec and one record per packet.
+    """
+    from mobility_cases import CASES, run_case
+
+    target = CASES_DIR / "mobility_records.jsonl"
+    if target.exists() and not force:
+        raise RuntimeError(f"{target} exists; pass --force")
+    lines = [
+        json.dumps({"spec": case.to_dict(), "packets": run_case(case)}, sort_keys=True)
+        for case in CASES
+    ]
+    target.write_text("\n".join(lines) + "\n")
+    print(f"wrote {target.name} ({len(lines)} cases)")
+    return {
+        "mobility_records": {
+            "kind": "mobility_records",
+            "journal": target.name,
+            "n_cases": len(lines),
+        }
+    }
+
+
 def build_polarization_cases() -> dict[str, tuple[dict, dict]]:
     """The frozen polarization-rung emits (``--polarization``)."""
     from polarization_cases import POLARIZATION_CASES, run_case
@@ -395,12 +421,19 @@ def main(argv: list[str] | None = None) -> int:
         help="regenerate only the receiver-record corpus, merging into the "
         "existing manifest",
     )
+    parser.add_argument(
+        "--mobility",
+        action="store_true",
+        help="regenerate only the mobility-record corpus, merging into the "
+        "existing manifest",
+    )
     args = parser.parse_args(argv)
 
-    if args.receiver:
+    if args.receiver or args.mobility:
+        build = build_receiver_records if args.receiver else build_mobility_records
         manifest = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
         CASES_DIR.mkdir(parents=True, exist_ok=True)
-        manifest.update(build_receiver_records(force=args.force))
+        manifest.update(build(force=args.force))
         MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         print(f"wrote {MANIFEST} ({len(manifest)} cases)")
         return 0
@@ -467,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {name}: {', '.join(sorted(arrays))}")
     manifest.update(build_sweep_journals(force=args.force))
     manifest.update(build_receiver_records(force=args.force))
+    manifest.update(build_mobility_records(force=args.force))
     MANIFEST.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST} ({len(manifest)} cases)")
     return 0
