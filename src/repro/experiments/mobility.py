@@ -2,9 +2,19 @@
 
 Implements the evaluation for the paper's §8 proposal: under a rolling /
 range-changing tag, a single head-of-packet channel estimate goes stale
-before the packet ends; sync sections + block-wise corrector re-fitting
-(:mod:`repro.phy.resync`) restore reliability up to much higher mobility
-levels.
+before the packet ends; sync sections (:mod:`repro.phy.resync`) and the
+receiver's block-wise corrector re-fitting restore reliability up to much
+higher mobility levels.
+
+:class:`MobileLinkSimulator` stays its own harness rather than a
+:class:`~repro.phy.pipeline.PacketSimulator` set-up: it re-poses the link
+before each packet, sends the frame with no drawn lead-in offset, scores an
+undetected packet by its decoded bytes and draws no yaw gains at build.
+Folding it in would shift every noise draw and move the frozen
+``sweep_trajectory`` journal.  Its receiver is the one
+:class:`~repro.phy.receiver.PhyReceiver`, unhardened, so mobility packets
+get the same stage spans, classified failures and streaming as every other
+packet.
 """
 
 from __future__ import annotations
@@ -21,7 +31,8 @@ from repro.modem.config import ModemConfig
 from repro.modem.dsm_pqam import DsmPqamModulator
 from repro.obs import ensure_observer
 from repro.optics.geometry import LinkGeometry
-from repro.phy.resync import MobileReceiver, ResyncFrameFormat
+from repro.phy.receiver import PhyReceiver
+from repro.phy.resync import ResyncFrameFormat
 from repro.phy.transmitter import PhyTransmitter
 from repro.training.offline import OfflineTrainer
 from repro.utils.bits import bit_errors, bytes_to_bits
@@ -82,8 +93,13 @@ class MobileLinkSimulator:
         offline = OfflineTrainer(self.config)
         tables = offline.collect_condition_tables()
         bases, _ = offline.extract_bases(tables, n_bases=n_bases)
-        self.receiver = MobileReceiver(
-            self.frame, basis_tables=bases, k_branches=k_branches, resync=resync
+        self.receiver = PhyReceiver(
+            self.frame,
+            basis_tables=bases,
+            k_branches=k_branches,
+            hardened=False,
+            observer=self._obs,
+            resync=resync,
         )
         nominal = LCMArray.build(self.config.dsm_order, self.config.levels_per_axis)
         self.frame.preamble.record_reference(DsmPqamModulator(self.config, nominal))
@@ -113,7 +129,7 @@ class MobileLinkSimulator:
             if self.trajectory is not None:
                 self.t_s += (u.size + tail.size) / self.config.fs + self.packet_interval_s
             with obs.span("receive"):
-                rx, _ = self.receiver.receive(
+                rx = self.receiver.receive(
                     out.samples, search_stop=(self.frame.guard_slots + 2) * ts
                 )
             sent = bytes_to_bits(payload)

@@ -49,7 +49,7 @@ class NetworkFault:
     at_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
+        if not self.at_s >= 0:  # NaN fails too
             raise ConfigError("fault time must be non-negative")
 
     @property
@@ -78,9 +78,9 @@ class ReaderCrash(NetworkFault):
         super().__post_init__()
         if self.reader_id < 0:
             raise ConfigError("reader_id must be non-negative")
-        if self.outage_s <= 0:
+        if not self.outage_s > 0:
             raise ConfigError("outage_s must be positive")
-        if self.recovery_s < 0:
+        if not self.recovery_s >= 0:
             raise ConfigError("recovery_s must be non-negative")
 
     def events(self) -> list[tuple[float, str, dict]]:
@@ -109,7 +109,7 @@ class ScheduleCorruption(NetworkFault):
         super().__post_init__()
         if self.reader_id < 0:
             raise ConfigError("reader_id must be non-negative")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigError("duration_s must be positive")
         if not 0.0 < self.collision_prob <= 1.0:
             raise ConfigError("collision_prob must be in (0, 1]")
@@ -144,7 +144,7 @@ class DiscoveryStorm(NetworkFault):
             raise ConfigError("reader_id must be non-negative")
         if self.n_requests < 1:
             raise ConfigError("n_requests must be >= 1")
-        if self.request_cost_s <= 0:
+        if not self.request_cost_s > 0:
             raise ConfigError("request_cost_s must be positive")
 
     def events(self) -> list[tuple[float, str, dict]]:
@@ -175,7 +175,7 @@ class ReaderOcclusion(NetworkFault):
         super().__post_init__()
         if self.reader_id < 0:
             raise ConfigError("reader_id must be non-negative")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ConfigError("duration_s must be positive")
         if not self.snr_penalty_db > 0:  # NaN fails too
             raise ConfigError("snr_penalty_db must be positive")

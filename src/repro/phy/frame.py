@@ -209,16 +209,32 @@ class FrameFormat:
         assert levels_i.size == self.payload_start_slot
         return levels_i, levels_q
 
+    def body_levels(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Level sequences after the prefix: the payload section.
+
+        A frame with sync sections between its payload blocks
+        (:class:`~repro.phy.resync.ResyncFrameFormat`) interleaves them here,
+        so the whole frame is always ``prefix_levels() + body_levels()``.
+        """
+        return self.encode_payload(payload)
+
     def frame_levels(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Level sequences for the complete frame (guard..payload)."""
         cfg = self.config
         pre_i, pre_q = self.prefix_levels()
-        pay_i, pay_q = self.encode_payload(payload)
-        levels_i = np.concatenate([pre_i, pay_i])
-        levels_q = np.concatenate([pre_q, pay_q])
+        body_i, body_q = self.body_levels(payload)
+        levels_i = np.concatenate([pre_i, body_i])
+        levels_q = np.concatenate([pre_q, body_q])
         assert levels_i.size == self.total_slots
         assert self.payload_start_slot % cfg.dsm_order == 0
         return levels_i, levels_q
+
+    def block_slot_counts(self) -> list[int]:
+        """Payload slots per block; sync sections, if any, sit between blocks.
+
+        The receiver equalizes block by block.  This frame is one block.
+        """
+        return [self.payload_slots]
 
     def prime_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Known level pairs immediately preceding the payload.

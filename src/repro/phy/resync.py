@@ -2,15 +2,16 @@
 
 "One possible solution would be inserting multiple synchronization frames
 based on the mobility level and packet length to perform dynamic channel
-equalization."  This module implements exactly that:
+equalization."  This module holds the frame for exactly that:
+:class:`ResyncFrameFormat` interleaves short *sync sections* (known
+corner-level bursts) into the payload every ``sync_interval_slots``.
 
-* :class:`ResyncFrameFormat` interleaves short *sync sections* (known
-  corner-level bursts) into the payload every ``sync_interval_slots``.
-* :class:`MobileReceiver` demodulates block by block: before each payload
-  block it re-fits the widely-linear corrector (a, b, c) on the preceding
-  sync section against its *expected* waveform (synthesised from the
-  trained reference bank and the already-decided symbols), tracking slow
-  rotation/gain drift that a single head-of-packet estimate cannot.
+The one receiver decodes it: :meth:`~repro.phy.receiver.PhyReceiver._run_stages`
+equalizes the frame's payload blocks in turn and, before each block after
+the first, re-fits the widely-linear corrector (a, b, c) on the preceding
+sync section against its *expected* waveform (synthesised from the trained
+reference bank and the already-decided symbols), tracking slow
+rotation/gain drift that a single head-of-packet estimate cannot.
 
 All section lengths stay multiples of ``L`` so the DSM group rotation is
 phase-aligned at every block boundary.
@@ -18,20 +19,12 @@ phase-aligned at every block boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.lcm.fingerprint import FingerprintTable
-from repro.modem.dfe import DFEDemodulator
-from repro.modem.preamble import PreambleDetection, RotationCorrector
-from repro.modem.references import ReferenceBank, assemble_waveform
 from repro.phy.frame import FrameFormat, round_up
-from repro.phy.receiver import ReceiverOutput
-from repro.training.online import OnlineTrainer
 from repro.utils.mseq import LFSR
 
-__all__ = ["MobileReceiver", "ResyncFrameFormat"]
+__all__ = ["ResyncFrameFormat"]
 
 
 class ResyncFrameFormat(FrameFormat):
@@ -78,17 +71,12 @@ class ResyncFrameFormat(FrameFormat):
         return self._sync_levels[0].copy(), self._sync_levels[1].copy()
 
     @property
-    def n_blocks(self) -> int:
-        """Number of payload blocks (sync sections sit *between* blocks)."""
-        return -(-self.payload_slots // self.sync_interval_slots)
-
-    @property
     def n_sync_sections(self) -> int:
         """Sync sections inserted (one after each block except the last)."""
-        return max(self.n_blocks - 1, 0)
+        return len(self.block_slot_counts()) - 1
 
     def block_slot_counts(self) -> list[int]:
-        """Payload slots per block."""
+        """Payload slots per block (sync sections sit *between* blocks)."""
         counts = []
         remaining = self.payload_slots
         while remaining > 0:
@@ -108,138 +96,18 @@ class ResyncFrameFormat(FrameFormat):
             + self.n_sync_sections * self.sync_slots
         )
 
-    def frame_levels(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """Levels for the whole frame with sync sections interleaved."""
-        cfg = self.config
-        guard = np.zeros(self.guard_slots, dtype=int)
-        pre_i, pre_q = self.preamble.levels
-        trn_i, trn_q = self.training.levels()
+    def body_levels(self, payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Payload blocks with a sync section between each pair."""
         pay_i, pay_q = self.encode_payload(payload)
         sync_i, sync_q = self._sync_levels
-        blocks = self.block_slot_counts()
-        parts_i = [guard, pre_i, trn_i]
-        parts_q = [guard, pre_q, trn_q]
+        parts_i: list[np.ndarray] = []
+        parts_q: list[np.ndarray] = []
         start = 0
-        for b, count in enumerate(blocks):
+        for b, count in enumerate(self.block_slot_counts()):
+            if b:
+                parts_i.append(sync_i)
+                parts_q.append(sync_q)
             parts_i.append(pay_i[start : start + count])
             parts_q.append(pay_q[start : start + count])
             start += count
-            if b != len(blocks) - 1:
-                parts_i.append(sync_i)
-                parts_q.append(sync_q)
-        levels_i = np.concatenate(parts_i)
-        levels_q = np.concatenate(parts_q)
-        assert levels_i.size == self.total_slots
-        assert self.payload_start_slot % cfg.dsm_order == 0
-        return levels_i, levels_q
-
-
-@dataclass
-class _BlockTrace:
-    """Diagnostics for one demodulated block."""
-
-    block: int
-    corrector: RotationCorrector
-    mse: float
-
-
-class MobileReceiver:
-    """Block-wise receiver with per-sync corrector re-estimation."""
-
-    def __init__(
-        self,
-        frame: ResyncFrameFormat,
-        basis_tables: list[FingerprintTable],
-        k_branches: int = 16,
-        resync: bool = True,
-    ):
-        self.frame = frame
-        self.config = frame.config
-        self.basis_tables = basis_tables
-        self.k_branches = k_branches
-        self.resync = resync
-        self._trainer = OnlineTrainer(
-            self.config,
-            basis_tables,
-            frame.training,
-            preceding_levels=frame.preamble.levels,
-        )
-
-    def install_reference(self, preamble_reference: np.ndarray) -> None:
-        """Install the offline preamble reference."""
-        self.frame.preamble.install_reference(preamble_reference)
-
-    @staticmethod
-    def _fit_corrector(raw: np.ndarray, expected: np.ndarray) -> RotationCorrector:
-        design = np.column_stack([raw, np.conj(raw), np.ones(raw.size, dtype=complex)])
-        theta, *_ = np.linalg.lstsq(design, expected, rcond=None)
-        return RotationCorrector(a=complex(theta[0]), b=complex(theta[1]), c=complex(theta[2]))
-
-    def receive(
-        self,
-        x: np.ndarray,
-        search_start: int = 0,
-        search_stop: int | None = None,
-    ) -> tuple[ReceiverOutput, list[_BlockTrace]]:
-        """Full mobile pipeline; returns output plus per-block diagnostics."""
-        frame = self.frame
-        cfg = self.config
-        ts = cfg.samples_per_slot
-        x = np.asarray(x, dtype=complex)
-        detection: PreambleDetection = frame.preamble.detect(
-            x, search_start=search_start, search_stop=search_stop
-        )
-        corrector = detection.corrector
-        preamble_end = detection.offset + frame.preamble_slots * ts
-        training_end = preamble_end + frame.training.n_slots * ts
-        bank: ReferenceBank = self._trainer.train(
-            corrector.apply(x[preamble_end:training_end])
-        )
-
-        sync_i, sync_q = frame.sync_levels
-        blocks = frame.block_slot_counts()
-        prime_n = cfg.tail_memory * cfg.dsm_order
-        prime = frame.prime_levels()
-        levels_i_parts: list[np.ndarray] = []
-        levels_q_parts: list[np.ndarray] = []
-        traces: list[_BlockTrace] = []
-        cursor = training_end
-        total_mse = 0.0
-        for b, count in enumerate(blocks):
-            block_samples = x[cursor : cursor + count * ts]
-            dfe = DFEDemodulator(bank, k_branches=self.k_branches)
-            result = dfe.demodulate(
-                corrector.apply(block_samples), count, prime_levels=prime
-            )
-            levels_i_parts.append(result.levels_i)
-            levels_q_parts.append(result.levels_q)
-            traces.append(_BlockTrace(block=b, corrector=corrector, mse=result.mse))
-            total_mse += result.mse * count
-            cursor += count * ts
-            if b == len(blocks) - 1:
-                break
-            # Re-fit the corrector on the sync section against its
-            # expected waveform given what we just decided.
-            sync_raw = x[cursor : cursor + frame.sync_slots * ts]
-            pre_levels = (
-                np.concatenate([prime[0], result.levels_i])[-prime_n:],
-                np.concatenate([prime[1], result.levels_q])[-prime_n:],
-            )
-            expected = assemble_waveform(bank, sync_i, sync_q, preceding=pre_levels)
-            if self.resync:
-                corrector = self._fit_corrector(sync_raw, expected)
-            cursor += frame.sync_slots * ts
-            prime = (sync_i[-prime_n:], sync_q[-prime_n:])
-        levels_i = np.concatenate(levels_i_parts)
-        levels_q = np.concatenate(levels_q_parts)
-        payload, crc_ok = frame.decode_payload(levels_i, levels_q)
-        output = ReceiverOutput(
-            payload=payload,
-            crc_ok=crc_ok,
-            detection=detection,
-            snr_est_db=detection.snr_db,
-            levels_i=levels_i,
-            levels_q=levels_q,
-            equalizer_mse=total_mse / max(frame.payload_slots, 1),
-        )
-        return output, traces
+        return np.concatenate(parts_i), np.concatenate(parts_q)

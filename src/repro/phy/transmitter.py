@@ -8,12 +8,13 @@ The guard/preamble/training prefix of every frame is payload-independent,
 so when an :class:`~repro.utils.opcache.OpCache` is supplied the prefix
 waveform (and the exact LC ``(phi, psi)`` state at its end) is synthesised
 once per operating point and replayed for every subsequent packet; only
-the payload section is simulated per transmit.  The split is bitwise
-transparent: frame sections are multiples of the DSM order, so the drive
-schedule of ``prefix + payload`` concatenates exactly, the per-tick state
-recurrence is independent of how many ticks follow, and the uniform-grid
-synthesis path evaluates each tick from its boundary state identically in
-either segment.  The roll-phase factor is applied once on the assembled
+the rest of the frame (:meth:`~repro.phy.frame.FrameFormat.body_levels`:
+the payload, and a re-sync frame's sync sections) is simulated per
+transmit.  The split is bitwise transparent: frame sections are multiples
+of the DSM order, so the drive schedule of ``prefix + body`` concatenates
+exactly, the per-tick state recurrence is independent of how many ticks
+follow, and the uniform-grid synthesis path evaluates each tick from its
+boundary state identically in either segment.  The roll-phase factor is applied once on the assembled
 frame, keeping the cached prefix orientation-free.
 """
 
@@ -77,11 +78,11 @@ class PhyTransmitter:
             self.frame.total_slots, cfg.slot_s, cfg.fs
         ):
             prefix_wave, phi0, psi0 = self._prefix_artifact()
-            pay_i, pay_q = self.frame.encode_payload(payload)
-            payload_wave = self.modulator.waveform_for_levels(
-                pay_i, pay_q, roll_rad=0.0, initial_phi=phi0, initial_psi=psi0
+            body_i, body_q = self.frame.body_levels(payload)
+            body_wave = self.modulator.waveform_for_levels(
+                body_i, body_q, roll_rad=0.0, initial_phi=phi0, initial_psi=psi0
             )
-            full = np.concatenate([prefix_wave, payload_wave])
+            full = np.concatenate([prefix_wave, body_wave])
             return full * np.exp(2j * roll_rad)
         levels_i, levels_q = self.frame.frame_levels(payload)
         return self.modulator.waveform_for_levels(levels_i, levels_q, roll_rad=roll_rad)

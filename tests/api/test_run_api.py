@@ -56,6 +56,15 @@ class TestSession:
         assert {"preamble", "rotation", "training", "equalize"} <= report.span_names()
         assert len(report.metric_names()) >= 10
 
+    @pytest.mark.parametrize("kind", ["mobility", "trajectory"])
+    def test_mobility_kinds_report_receiver_stage_spans(self, kind):
+        """Mobility packets run the one receiver, so their reports carry its
+        stage spans like every other packet's."""
+        report = Session(ScenarioSpec(kind=kind, payload_bytes=8)).run(n_packets=1)
+        validate_run_report(json.loads(report.to_json()))
+        assert {"preamble", "rotation", "training", "equalize"} <= report.span_names()
+        assert "phy.stage_events_total" in report.metric_names()
+
     def test_arq_and_watchdog_kinds(self):
         arq = Session(
             ScenarioSpec(kind="arq", mac=MacKnobs(success_probability=0.6))

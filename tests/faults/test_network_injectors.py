@@ -41,6 +41,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="snr_penalty_db"):
             ReaderOcclusion(snr_penalty_db=float("nan"))
 
+    @pytest.mark.parametrize(
+        "fault, field",
+        [
+            (ReaderCrash, "at_s"),
+            (ReaderCrash, "outage_s"),
+            (ReaderCrash, "recovery_s"),
+            (ScheduleCorruption, "duration_s"),
+            (DiscoveryStorm, "request_cost_s"),
+            (ReaderOcclusion, "duration_s"),
+        ],
+    )
+    def test_nan_time_field_rejected(self, fault, field):
+        """Every comparison with NaN is false, so each bound is written to
+        fail on it; a NaN cost once crashed the fleet unclassified."""
+        with pytest.raises(ConfigError):
+            fault(**{field: float("nan")})
+
+    def test_infinite_durations_stay_valid(self):
+        """``inf`` is a permanent outage or occlusion, not an error."""
+        ReaderCrash(outage_s=float("inf"), recovery_s=float("inf"))
+        ReaderOcclusion(duration_s=float("inf"))
+
     def test_plan_rejects_non_faults(self):
         with pytest.raises(ConfigError):
             NetworkFaultPlan([object()])

@@ -16,10 +16,13 @@ from repro.channel.link import OpticalLink
 from repro.experiments.batch import BatchRunner, GridTask
 from repro.faults.injectors import PixelDropout
 from repro.faults.plan import FaultPlan
+from repro.lcm.array import LCMArray
 from repro.modem.config import ModemConfig
 from repro.obs import Observer, use_observer
 from repro.optics.geometry import LinkGeometry
 from repro.phy.pipeline import PacketSimulator
+from repro.phy.resync import ResyncFrameFormat
+from repro.phy.transmitter import PhyTransmitter
 from repro.utils.opcache import OpCache, fingerprint_array
 
 FAST = ModemConfig(dsm_order=2, pqam_order=4, slot_s=2.0e-3, fs=10e3)
@@ -72,6 +75,20 @@ class TestBitIdentity:
             wc2 = cached.transmitter.transmit(payload, roll_rad=roll)  # replays
             assert np.array_equal(wu, wc1)
             assert np.array_equal(wc1, wc2)
+
+    def test_resync_frame_transmit_bitwise_equal(self):
+        """The cached path sends the whole body after the prefix, sync
+        sections included, not just the encoded payload."""
+        config = ModemConfig()
+        frame = ResyncFrameFormat(config, payload_bytes=48, sync_interval_slots=32)
+        array = LCMArray.build(config.dsm_order, config.levels_per_axis)
+        payload = bytes(range(48))
+        uncached = PhyTransmitter(frame, array).transmit(payload, roll_rad=0.37)
+        cached = PhyTransmitter(frame, array, opcache=OpCache())
+        assert frame.n_sync_sections > 0
+        assert uncached.size == frame.total_slots * config.samples_per_slot
+        for _ in range(2):  # builds, then replays the prefix
+            assert np.array_equal(cached.transmit(payload, roll_rad=0.37), uncached)
 
     def test_batchrunner_serial_pool_cached_identical(self):
         def strip(rows):

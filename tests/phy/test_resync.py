@@ -7,6 +7,11 @@ from repro.channel.dynamics import ChannelDrift
 from repro.experiments.mobility import MobileLinkSimulator
 from repro.lcm.heterogeneity import HeterogeneityModel
 from repro.modem.config import ModemConfig
+from repro.modem.dfe import DFEDemodulator
+from repro.modem.preamble import RotationCorrector
+from repro.phy.frame import FrameFormat
+from repro.phy.pipeline import PacketSimulator
+from repro.phy.receiver import PhyReceiver
 from repro.phy.resync import ResyncFrameFormat
 
 FAST = ModemConfig(dsm_order=2, pqam_order=4, slot_s=2.0e-3, fs=10e3)
@@ -41,6 +46,9 @@ class TestFrameLayout:
     def test_frame_levels_embed_sync(self, frame):
         li, lq = frame.frame_levels(bytes(16))
         assert li.size == frame.total_slots
+        # The transmitter's cached path sends the prefix, then the body.
+        body_i, _ = frame.body_levels(bytes(16))
+        np.testing.assert_array_equal(li, np.concatenate([frame.prefix_levels()[0], body_i]))
         # First sync section sits right after the first block.
         start = frame.payload_start_slot + frame.block_slot_counts()[0]
         sync_i, _ = frame.sync_levels
@@ -88,3 +96,57 @@ class TestMobileLink:
             rng=7,
         )
         assert sim.measure_ber(n_packets=2, rng=6) < 0.01
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Count the stage entry points a packet calls."""
+    counts: dict[str, int] = {}
+    for cls, name in [
+        (PacketSimulator, "make_capture"),
+        (PhyReceiver, "receive"),
+        (RotationCorrector, "apply"),
+        (DFEDemodulator, "demodulate"),
+        (FrameFormat, "decode_payload"),
+    ]:
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+
+        def counted(*args, _original=getattr(cls, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+class TestOneReceiver:
+    def test_plain_frame_packet_calls_each_stage_once(self, monkeypatch):
+        """A one-block frame makes the calls it made before the re-sync
+        frame shared the stage sequence."""
+        sim = PacketSimulator(config=FAST, payload_bytes=8, rng=7)
+        counts = _count_calls(monkeypatch)
+        sim.measure_ber(n_packets=1, rng=1)
+        assert counts == {
+            "PacketSimulator.make_capture": 1,
+            "PhyReceiver.receive": 1,
+            # The detector's SNR estimate, then the rotation stage.
+            "RotationCorrector.apply": 2,
+            "DFEDemodulator.demodulate": 1,
+            "FrameFormat.decode_payload": 1,
+        }
+
+    @pytest.mark.parametrize("resync", [True, False])
+    def test_resync_frame_decodes_block_by_block(self, monkeypatch, resync):
+        sim = MobileLinkSimulator(
+            config=FAST, payload_bytes=12, sync_interval_slots=16, resync=resync, rng=1
+        )
+        assert isinstance(sim.receiver, PhyReceiver)
+        n_blocks = len(sim.frame.block_slot_counts())
+        assert n_blocks > 1
+        counts = _count_calls(monkeypatch)
+        sim.run_packet(rng=2)
+        assert counts["PhyReceiver.receive"] == 1
+        assert counts["DFEDemodulator.demodulate"] == n_blocks
+        assert counts["FrameFormat.decode_payload"] == 1
+        # Detection and the rotation stage, then one per re-fitted block.
+        assert counts["RotationCorrector.apply"] == (n_blocks + 1 if resync else 2)
