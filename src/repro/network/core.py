@@ -249,13 +249,14 @@ class LazyStreams:
     Behaves like the eager ``list[Generator]`` it replaces — ``len``,
     indexing, and iteration — but a generator is only constructed (and
     then cached, so its draw position persists) the first time its index
-    is touched.  A million-tag fleet where a round serves a few hundred
-    tags pays for a few hundred streams, not a million; the streams
-    themselves are identical either way.
+    is touched; the streams themselves are identical either way.
 
     :meth:`random_each` draws once from many streams at a time; fresh
     streams (never built or drawn) get that draw from array arithmetic and
     are only counted, so a stream drawn once never builds a generator.
+    The fleet takes its served slots' draws and its detach waves' jitters
+    this way, so a million-tag run builds a generator only for a stream
+    drawn twice or by a re-association retry, not one per served tag.
     Which streams are fresh is kept in one per-stream bool array, so a
     bulk draw looks its streams up without a Python step per index.  It
     reserves ``n`` bytes of address space (1 MB for a million-tag fleet,

@@ -294,8 +294,8 @@ class TagTable:
             parts.append(self.orphans[gone])
             self.orphans = self.orphans[~gone]
         for reader in self.readers:
-            if reader.schedule and now - reader.last_beacon > deadline:
-                ids = reader.schedule_array()
+            if len(reader.schedule) and now - reader.last_beacon > deadline:
+                ids = reader.schedule
                 heard = np.maximum(self.heard_floor[ids], reader.last_beacon)
                 stale = now - heard > deadline
                 self.heard_floor[ids[stale]] = heard[stale]
@@ -791,11 +791,11 @@ class FleetSimulator:
         same totals and labels as a per-slot count, without a per-slot
         observer call.
         """
-        if not reader.schedule:
+        if not len(reader.schedule):
             return 0, used
         rid = reader.reader_id
         res = self._store.serve_round(
-            reader.schedule_array(),
+            reader.schedule,
             self._snr[:, rid],
             reader.occlusion_db,
             reader.collision_prob,
@@ -861,9 +861,9 @@ class FleetSimulator:
         jitter = 0.5 + self._tag_rngs.random_each(stale)  # in [0.5, 1.5)
         times = now + self._backoff_s(0) * jitter
         for reader in self.readers:
-            if reader.schedule:
+            if len(reader.schedule):
                 mine = stale[lost == reader.reader_id]
-                for tag_id in mine[np.isin(mine, reader.schedule_array())].tolist():
+                for tag_id in mine[np.isin(mine, reader.schedule)].tolist():
                     reader.drop(tag_id)
         if self.obs.enabled:
             for _ in range(stale.size):

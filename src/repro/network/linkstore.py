@@ -20,8 +20,8 @@ ARQ attempts, watchdog failure/success counters, recovery
   scalar formula ``overhead + payload_bits / code_rate / rate``;
 * **per-(rung, SNR) block success** (``_success_rows``): for each
   ``(reader, occlusion, rung)`` key, one row of per-tag CRC success
-  probabilities, built lazily on first use and cached — served rounds are
-  then pure table lookups + broadcasting.
+  probabilities, filled lazily a scan window at a time and cached — served
+  rounds are then mostly pure table lookups + broadcasting.
 
 :meth:`serve_round` turns a reader's round into one kernel invocation:
 gather the airtime of each tag in a window of the rotated schedule from
@@ -31,7 +31,10 @@ sequential accumulation; the window widens until the budget cuts it, so a
 round's cost follows the tags it can serve, not the schedule length),
 draw **exactly one uniform per served tag from that tag's own stream**
 (the documented determinism contract — a tag's outcome sequence depends
-only on its own seed and how many slots it was served), then apply the
+only on its own seed and how many slots it was served) through
+:meth:`~repro.network.core.LazyStreams.random_each`, which takes a
+stream's first draw by array arithmetic, so a round builds a
+``Generator`` only for streams drawn before, then apply the
 watchdog/streak/ARQ/rate-rung transition as vectorized ndarray updates.
 
 Bit-identity with the frozen scalar per-tag path it replaced
@@ -225,7 +228,7 @@ class LinkStateStore:
         self.attempts = np.zeros(self.n_tags, dtype=np.int64)
 
         #: Block-success rows keyed ``(reader_key, occlusion_db, rung)``,
-        #: filled lazily per served tag (``_success_built`` masks what's
+        #: filled lazily per scan window (``_success_built`` masks what's
         #: valid) — a round serves a budget-limited prefix, so building a
         #: whole-population row per key would be mostly wasted work.
         self._success_rows: dict[tuple, np.ndarray] = {}
@@ -330,14 +333,19 @@ class LinkStateStore:
         rung: int,
         snr_col: np.ndarray,
         tags: np.ndarray,
+        window: np.ndarray,
     ) -> np.ndarray:
         """Cached block-success probabilities for ``tags`` at one rung.
 
         ``snr_col`` is the reader's static per-tag SNR column; the cache
         is keyed by value on ``(reader_key, occlusion_db, rung)`` so an
         occlusion change simply selects (or starts filling) a different
-        row — there is no invalidation protocol to get wrong.  Entries are
-        computed only for tags actually served under this key.
+        row — there is no invalidation protocol to get wrong.  When one of
+        ``tags`` is missing, every unbuilt tag of ``window`` (the round's
+        scan window at this rung, which holds ``tags``) is filled, so the
+        next rounds, which serve further into that window, mostly find
+        theirs built.  The values are elementwise, so which tags share a
+        build changes no bit.
         """
         key = (reader_key, occlusion_db, rung)
         row = self._success_rows.get(key)
@@ -348,8 +356,8 @@ class LinkStateStore:
             self._success_built[key] = built
         else:
             built = self._success_built[key]
-        missing = tags[~built[tags]]
-        if missing.size:
+        if not built[tags].all():
+            missing = window[~built[window]]
             row[missing] = self._build_success_row(rung, snr_col[missing] - occlusion_db)
             built[missing] = True
         return row[tags]
@@ -417,8 +425,11 @@ class LinkStateStore:
             Round airtime budget and the airtime already consumed
             (discovery service) — the left-fold starts at ``used_s``.
         rngs:
-            Per-tag generators; exactly one uniform is drawn from each
-            *served* tag's own stream, in service order.
+            The tag streams (:class:`~repro.network.core.LazyStreams`);
+            exactly one uniform is drawn from each *served* tag's own
+            stream, through :meth:`~repro.network.core.LazyStreams.
+            random_each`, so a stream never touched before builds no
+            ``Generator``.
         reader_key:
             Success-row cache key component (the reader id).
         start:
@@ -451,7 +462,7 @@ class LinkStateStore:
                 break
             window = min(n, 2 * window)
         n_served = int(xp.searchsorted(running[1:], budget_s, side="right"))
-        served = ids[:n_served]
+        served = ids[:n_served].copy()  # ids may be a view of the schedule
         rung_s = rung_o[:n_served]
         air_s = air[:n_served]
         used_after = float(running[n_served])
@@ -471,15 +482,13 @@ class LinkStateStore:
         for rung in xp.unique(rung_s).tolist():
             at_rung = rung_s == rung
             p[at_rung] = self._success_values(
-                reader_key, occlusion_db, int(rung), snr_col, served[at_rung]
+                reader_key, occlusion_db, int(rung), snr_col, served[at_rung],
+                ids[rung_o == rung],
             )
         p = p * (1.0 - collision_prob)
-        # One uniform per served tag, from that tag's own stream.
-        draws = xp.fromiter(
-            (rngs[t].random() for t in served.tolist()),
-            dtype=xp.float64,
-            count=n_served,
-        )
+        # One uniform per served tag, from that tag's own stream; streams
+        # never touched before draw in one vectorized pass.
+        draws = xp.asarray(rngs.random_each(served))
         ok = draws < p
         abandoned = self._apply_outcomes(served, ok)
         return RoundServe(

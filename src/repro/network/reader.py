@@ -18,6 +18,11 @@ the schedule holds at most ``capacity`` tags and the discovery backlog at
 most ``discovery_queue_cap`` requests; arrivals beyond either bound are
 shed immediately (shed-new) and counted — overload degrades goodput
 gracefully instead of collapsing the schedule.
+
+The schedule is one int64 buffer, grown by doubling up to ``capacity``,
+plus a membership mask indexed by tag id: admitting a whole wave is one
+slice write and one mask scatter, and a million-tag schedule holds no
+Python object per tag.
 """
 
 from __future__ import annotations
@@ -52,14 +57,6 @@ class Reader:
     discovery_queue_cap: int = 64
 
     health: ReaderHealth = ReaderHealth.HEALTHY
-    #: Associated tag ids, in admission order (the TDMA schedule).
-    schedule: list[int] = field(default_factory=list)
-    #: Membership mirror of :attr:`schedule` so admission checks are O(1)
-    #: — a 100k-tag association wave is otherwise quadratic in the list.
-    _members: set[int] = field(default_factory=set, repr=False, compare=False)
-    #: Cached ndarray mirror of :attr:`schedule` (None = stale), so the
-    #: per-round beacon/serve paths never rebuild a big array per round.
-    _sched_arr: np.ndarray | None = field(default=None, repr=False, compare=False)
     #: Round-robin rotation offset so budget-limited rounds are fair.
     next_slot: int = 0
     #: Pending discovery requests (admission queue for joins/storms).
@@ -85,12 +82,30 @@ class Reader:
     discovery_served: int = 0
     max_queue_depth: int = 0
 
+    #: The schedule is ``_buf[:_n]``; the buffer grows by doubling.
+    _buf: np.ndarray = field(init=False, repr=False, compare=False)
+    _n: int = field(init=False, repr=False, compare=False)
+    #: ``_member[t]``: tag ``t`` is on the schedule (False past the end).
+    _member: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ConfigError("reader capacity must be >= 1")
         if self.discovery_queue_cap < 0:
             raise ConfigError("discovery_queue_cap must be >= 0")
-        self._members = set(self.schedule)
+        self._buf = np.empty(0, dtype=np.int64)
+        self._n = 0
+        self._member = np.zeros(0, dtype=bool)
+
+    @property
+    def schedule(self) -> np.ndarray:
+        """Associated tag ids in admission order (the TDMA schedule).
+
+        A read-only int64 view of the buffer, valid until the next
+        admission, drop or crash: copy it to keep it."""
+        view = self._buf[: self._n]
+        view.flags.writeable = False
+        return view
 
     # --------------------------------------------------------------- health
 
@@ -119,12 +134,12 @@ class Reader:
 
         The lost schedule and the last beacon its members heard go to
         :attr:`lost`, for the fleet to turn those tags into orphans."""
-        if self.schedule:
-            self.lost.append((self.schedule_array(), self.last_beacon))
+        if self._n:
+            lost = self.schedule.copy()
+            self.lost.append((lost, self.last_beacon))
+            self._member[lost] = False
         self.health = ReaderHealth.DOWN
-        self.schedule.clear()
-        self._members.clear()
-        self._sched_arr = None
+        self._n = 0
         self.next_slot = 0
         self.pending_discovery = 0
 
@@ -145,15 +160,16 @@ class Reader:
         """Bounded-queue admission: shed-new beyond ``capacity``."""
         if not self.beaconing:
             return False
-        if tag_id in self._members:
+        if self.is_member(tag_id):
             return True
-        if len(self.schedule) >= self.capacity:
+        if self._n >= self.capacity:
             self.shed_associations += 1
             return False
-        self.schedule.append(tag_id)
-        self._members.add(tag_id)
-        self._sched_arr = None
-        self.max_queue_depth = max(self.max_queue_depth, len(self.schedule))
+        self._reserve(self._n + 1, tag_id, tag_id)
+        self._buf[self._n] = tag_id
+        self._member[tag_id] = True
+        self._n += 1
+        self.max_queue_depth = max(self.max_queue_depth, self._n)
         return True
 
     def admit_many(self, tag_ids: np.ndarray) -> None:
@@ -161,31 +177,44 @@ class Reader:
         time would when every one of them fits (the caller checks room)."""
         if not tag_ids.size:
             return
-        if not self.beaconing or len(self.schedule) + tag_ids.size > self.capacity:
+        n = self._n + tag_ids.size
+        if not self.beaconing or n > self.capacity:
             raise ValueError(f"reader {self.reader_id} cannot admit {tag_ids.size} tags")
-        ids = tag_ids.tolist()
-        self.schedule.extend(ids)
-        self._members.update(ids)
-        self._sched_arr = None
-        self.max_queue_depth = max(self.max_queue_depth, len(self.schedule))
+        self._reserve(n, int(tag_ids.min()), int(tag_ids.max()))
+        self._buf[self._n : n] = tag_ids
+        self._member[tag_ids] = True
+        self._n = n
+        self.max_queue_depth = max(self.max_queue_depth, n)
+
+    def _reserve(self, n: int, low_id: int, top_id: int) -> None:
+        """Grow the buffer to hold ``n`` tags and the mask to index ``top_id``."""
+        if low_id < 0:
+            raise ValueError(f"tag ids must be non-negative, got {low_id}")
+        if n > self._buf.size:
+            buf = np.empty(min(max(n, 2 * self._buf.size), self.capacity), dtype=np.int64)
+            buf[: self._n] = self._buf[: self._n]
+            self._buf = buf
+        if top_id >= self._member.size:
+            mask = np.zeros(max(top_id + 1, 2 * self._member.size), dtype=bool)
+            mask[: self._member.size] = self._member
+            self._member = mask
 
     def is_member(self, tag_id: int) -> bool:
         """Whether ``tag_id`` is on the schedule (O(1))."""
-        return tag_id in self._members
+        return 0 <= tag_id < self._member.size and bool(self._member[tag_id])
 
     def drop(self, tag_id: int) -> None:
         """Remove a tag from the schedule (detach / handoff away)."""
-        if tag_id in self._members:
-            idx = self.schedule.index(tag_id)
-            self.schedule.remove(tag_id)
-            self._members.discard(tag_id)
-            self._sched_arr = None
-            if idx < self.next_slot:
-                self.next_slot -= 1
-            if self.schedule:
-                self.next_slot %= len(self.schedule)
-            else:
-                self.next_slot = 0
+        if not self.is_member(tag_id):
+            return
+        sched = self._buf[: self._n]
+        idx = int(np.flatnonzero(sched == tag_id)[0])
+        sched[idx:-1] = sched[idx + 1 :]
+        self._n -= 1
+        self._member[tag_id] = False
+        if idx < self.next_slot:
+            self.next_slot -= 1
+        self.next_slot = self.next_slot % self._n if self._n else 0
 
     def admit_discovery(self, n_requests: int) -> tuple[int, int]:
         """Queue discovery requests up to the cap; shed the rest.
@@ -203,19 +232,13 @@ class Reader:
     def service_order(self) -> list[int]:
         """This round's schedule, rotated so unserved tags go first next
         time (deterministic round-robin fairness under airtime budget)."""
-        n = len(self.schedule)
-        if n == 0:
+        if not self._n:
             return []
-        start = self.next_slot % n
-        return self.schedule[start:] + self.schedule[:start]
-
-    def schedule_array(self) -> np.ndarray:
-        """The schedule as an int64 ndarray (cached until mutated)."""
-        if self._sched_arr is None:
-            self._sched_arr = np.asarray(self.schedule, dtype=np.int64)
-        return self._sched_arr
+        sched = self.schedule
+        start = self.next_slot % self._n
+        return sched[start:].tolist() + sched[:start].tolist()
 
     def advance_rotation(self, n_served: int) -> None:
         """Rotate the service origin past the tags served this round."""
-        if self.schedule:
-            self.next_slot = (self.next_slot + n_served) % len(self.schedule)
+        if self._n:
+            self.next_slot = (self.next_slot + n_served) % self._n

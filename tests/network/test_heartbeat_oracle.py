@@ -47,7 +47,7 @@ class ShadowFleet(FleetSimulator):
 
     def _poll_round(self, reader: Reader, now: float) -> None:
         if reader.beaconing:
-            self.shadow[reader.schedule_array()] = now
+            self.shadow[reader.schedule] = now
         super()._poll_round(reader, now)
 
     def _admitted(self, tag_ids, reader_ids, times) -> None:

@@ -27,7 +27,7 @@ class TestLifecycle:
         r.crash()
         assert r.health is ReaderHealth.DOWN
         assert not r.beaconing
-        assert r.schedule == [] and r.pending_discovery == 0
+        assert r.schedule.tolist() == [] and r.pending_discovery == 0
 
     def test_restart_recover_path(self):
         r = make_reader()
@@ -73,13 +73,13 @@ class TestAdmission:
         assert r.admit(1) and r.admit(2)
         assert not r.admit(3)
         assert r.shed_associations == 1
-        assert r.schedule == [1, 2]
+        assert r.schedule.tolist() == [1, 2]
 
     def test_admit_idempotent_for_scheduled_tag(self):
         r = make_reader(capacity=1)
         assert r.admit(7)
         assert r.admit(7)
-        assert r.schedule == [7] and r.shed_associations == 0
+        assert r.schedule.tolist() == [7] and r.shed_associations == 0
 
     def test_down_reader_admits_nothing(self):
         r = make_reader()
@@ -90,16 +90,15 @@ class TestAdmission:
         bulk, one = make_reader(capacity=6), make_reader(capacity=6)
         for r in (bulk, one):
             r.admit(9)
-            r.schedule_array()  # cached, so the bulk admit must refresh it
         bulk.admit_many(np.asarray([4, 1, 7]))
         for tag_id in (4, 1, 7):
             one.admit(tag_id)
         for r in (bulk, one):
-            assert r.schedule == [9, 4, 1, 7] and r.max_queue_depth == 4
-            assert r.schedule_array().tolist() == [9, 4, 1, 7]
+            assert r.schedule.tolist() == [9, 4, 1, 7] and r.max_queue_depth == 4
+            assert r.schedule.dtype == np.int64
             assert all(r.is_member(t) for t in (9, 4, 1, 7))
         bulk.admit_many(np.empty(0, dtype=np.int64))
-        assert bulk.schedule == [9, 4, 1, 7]
+        assert bulk.schedule.tolist() == [9, 4, 1, 7]
 
     def test_admit_many_refuses_what_does_not_fit(self):
         r = make_reader(capacity=2)
@@ -108,7 +107,7 @@ class TestAdmission:
         r.crash()
         with pytest.raises(ValueError, match="cannot admit"):
             r.admit_many(np.asarray([1]))
-        assert r.schedule == [] and r.shed_associations == 0
+        assert r.schedule.tolist() == [] and r.shed_associations == 0
 
     def test_discovery_queue_bounded(self):
         r = make_reader(discovery_queue_cap=10)
@@ -146,3 +145,68 @@ class TestRotation:
         r.advance_rotation(1)
         r.drop(1)
         assert r.service_order() == [] and r.next_slot == 0
+
+
+class TestArraySchedule:
+    """The schedule is an int64 buffer plus a membership mask by tag id."""
+
+    def test_crash_hands_lost_a_copy(self):
+        r = make_reader()
+        for t in (5, 2, 8):
+            r.admit(t)
+        r.crash()
+        r.restart()
+        r.admit_many(np.asarray([11, 12, 13]))
+        r.admit(14)
+        [(lost, _)] = r.lost
+        assert lost.tolist() == [5, 2, 8]
+
+    def test_schedule_is_read_only(self):
+        r = make_reader()
+        r.admit_many(np.asarray([3, 1]))
+        with pytest.raises(ValueError):
+            r.schedule[0] = 9
+        assert r.schedule.tolist() == [3, 1] and r.is_member(3) and not r.is_member(9)
+
+    def test_admission_past_the_mask_grows_it(self):
+        r = make_reader(capacity=8)
+        r.admit(2)
+        assert not r.is_member(10**6) and not r.is_member(-1)
+        assert r.admit(10**6)
+        r.admit_many(np.asarray([3 * 10**6, 7]))
+        assert r.schedule.tolist() == [2, 10**6, 3 * 10**6, 7]
+        assert all(r.is_member(t) for t in (2, 7, 10**6, 3 * 10**6))
+        assert not r.is_member(10**6 + 1) and not r.is_member(10**9)
+        with pytest.raises(ValueError, match="non-negative"):
+            r.admit(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            r.admit_many(np.asarray([4, -2]))
+        assert r.schedule.tolist() == [2, 10**6, 3 * 10**6, 7]
+
+    def test_drop_from_the_middle_keeps_order_membership_rotation(self):
+        r = make_reader()
+        r.admit_many(np.arange(1, 7))
+        r.advance_rotation(4)  # next is 5
+        r.drop(3)
+        assert r.schedule.tolist() == [1, 2, 4, 5, 6]
+        assert not r.is_member(3) and all(r.is_member(t) for t in (1, 2, 4, 5, 6))
+        assert r.service_order() == [5, 6, 1, 2, 4]
+        r.drop(6)  # after the rotation point: next stays 5
+        assert r.service_order() == [5, 1, 2, 4]
+        r.drop(99)  # not a member: nothing changes
+        assert r.schedule.tolist() == [1, 2, 4, 5]
+        assert r.admit(3) and r.schedule.tolist() == [1, 2, 4, 5, 3]
+
+    def test_admission_after_crash_and_restart(self):
+        r = make_reader(capacity=3)
+        r.admit_many(np.asarray([4, 5, 6]))
+        r.advance_rotation(2)
+        r.crash()
+        assert not any(r.is_member(t) for t in (4, 5, 6))
+        assert r.schedule.tolist() == [] and r.next_slot == 0
+        r.restart()
+        assert r.admit(5) and r.admit(9)
+        r.admit_many(np.asarray([4]))
+        assert r.schedule.tolist() == [5, 9, 4] and r.service_order() == [5, 9, 4]
+        assert not r.admit(6) and r.shed_associations == 1
+        assert r.max_queue_depth == 3 and not r.is_member(6)

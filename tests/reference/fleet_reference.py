@@ -40,7 +40,7 @@ _TAG_ARRAYS = (
     "detaches", "orphans",
 )
 _READER_FIELDS = (
-    "health", "schedule", "next_slot", "max_queue_depth", "pending_discovery",
+    "health", "next_slot", "max_queue_depth", "pending_discovery",
     "last_beacon", "frames_served", "airtime_s", "shed_associations",
     "shed_discovery", "discovery_served",
 )
@@ -57,7 +57,10 @@ def fleet_end_state(sim: FleetSimulator, result: FleetResult) -> dict:
         "transitions": result.transitions,
         "handoff_log": result.handoff_log,
         "tags": {name: getattr(tags, name).tobytes() for name in _TAG_ARRAYS},
-        "readers": [{f: getattr(r, f) for f in _READER_FIELDS} for r in sim.readers],
+        "readers": [
+            {"schedule": r.schedule.tolist(), **{f: getattr(r, f) for f in _READER_FIELDS}}
+            for r in sim.readers
+        ],
     }
 
 
