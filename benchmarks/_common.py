@@ -15,7 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.batch import BatchRunner, GridTask
 from repro.experiments.common import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -24,7 +23,7 @@ _TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
 if _TESTS_DIR not in sys.path:
     sys.path.append(_TESTS_DIR)
 
-__all__ = ["BatchRunner", "GridTask", "emit", "emit_json", "format_table"]
+__all__ = ["emit", "emit_json", "format_table"]
 
 
 def emit(name: str, text: str) -> None:

@@ -4,20 +4,14 @@ The committed artifact ``benchmarks/results/BENCH_fleet.json`` records, for
 a fixed chaos deployment (3 readers, occlusion scenario, 90 TDMA rounds),
 the vectorized engine's wall-clock and throughput at fleet sizes from one
 thousand to one million tags, plus the frozen scalar reference's time at
-the gated size.
+1 k, 10 k and the gated 100 k tags.  One run of an arm is one fleet run
+(``sim.run()``; the simulator is built untimed).
 
-Protocol:
-
-* **Bit-identity is asserted in the same run** — at the small sizes both
-  engines run and their ``row()`` records (including ``timeline_digest``
-  and the per-tag ``outcome_digest``) and per-tag ``snapshot()`` states
-  must match field-for-field before any timing is trusted.
-* **One timed run per (engine, size)** — a fleet run is already a
-  sustained workload (hundreds of rounds); run-to-run noise is far below
-  the gated margin.
-* **Gate**: at the gated size (100k tags) the vectorized engine must
-  complete the same scenario at least ``MIN_SPEEDUP``x faster than the
-  scalar reference.
+Before any timing, both engines run at the small sizes and their ``row()``
+records (including ``timeline_digest`` and the per-tag ``outcome_digest``),
+per-tag ``snapshot()`` states and logs must match field-for-field; at the
+gated size their rows must match.  Gate: at 100 k tags the vectorized
+engine is at least ``MIN_SPEEDUP``x the scalar reference.
 
 The failover mode (``--failover``) writes
 ``benchmarks/results/BENCH_fleet_failover.json``: the ``reader_crash``
@@ -33,30 +27,26 @@ with the per-tag heartbeat check).  Two deployments:
   the surviving readers fill up mid-wave, the rest of the wave takes the
   per-attempt path and a retry storm follows.  Gate: at least ``0.9x``.
 
-Protocol: the full end state (``row()``, both logs, every tag-table array,
-each reader's schedule and counters) is asserted equal on the first round,
-before any timing is trusted; then ``FAILOVER_ROUNDS`` interleaved
-rounds, alternating which arm runs first, and the gate is on the median
-per-round time ratio (per-attempt / wave), reported with its quartiles.
+The full end state (``row()``, both logs, every tag-table array, each
+reader's schedule and counters) of the two arms is asserted equal before
+any timing.  Timing protocol and gate rules: ``_timing.py``.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/bench_fleet_scale.py              # full artifact
-    PYTHONPATH=src python benchmarks/bench_fleet_scale.py --failover   # failover artifact
-    PYTHONPATH=src python -m pytest benchmarks/bench_fleet_scale.py    # slow-lane smoke
+    PYTHONPATH=src python benchmarks/bench_fleet_scale.py              # scaling artifact + gate
+    PYTHONPATH=src python benchmarks/bench_fleet_scale.py --failover   # failover artifact + gates
+    PYTHONPATH=src python -m pytest benchmarks/bench_fleet_scale.py    # both, slow lane
 """
 
 from __future__ import annotations
 
 import argparse
-import platform
 import statistics
-import time
 
-import numpy as np
 import pytest
 
-from _common import emit, emit_json, format_table
+import _timing
+from _common import format_table
 
 from repro.faults.network import NETWORK_SCENARIOS
 from repro.network.fleet import FleetConfig, FleetSimulator
@@ -77,6 +67,8 @@ IDENTITY_SIZES = (1_000, 10_000)
 #: Size at which the speedup gate applies (the reference runs here too).
 GATED_SIZE = 100_000
 
+REFERENCE_SIZES = IDENTITY_SIZES + (GATED_SIZE,)
+
 #: The vectorized engine must beat the reference by at least this factor
 #: at the gated size.
 MIN_SPEEDUP = 5.0
@@ -85,6 +77,8 @@ MIN_SPEEDUP = 5.0
 SCENARIO = "occlusion"
 
 SEED = 3
+
+N_ROUNDS = 5
 
 
 def build_config(n_tags: int) -> FleetConfig:
@@ -105,13 +99,9 @@ def build_config(n_tags: int) -> FleetConfig:
     )
 
 
-def run_once(n_tags: int, simulator: type[FleetSimulator]):
+def build_sim(n_tags: int, simulator: type[FleetSimulator]) -> FleetSimulator:
     cfg = build_config(n_tags)
-    plan = NETWORK_SCENARIOS[SCENARIO](cfg.duration_s)
-    sim = simulator(cfg, fault_plan=plan, root_seed=SEED)
-    t0 = time.perf_counter()
-    result = sim.run()
-    return time.perf_counter() - t0, result
+    return simulator(cfg, fault_plan=NETWORK_SCENARIOS[SCENARIO](cfg.duration_s), root_seed=SEED)
 
 
 def assert_bit_identical(ref, vec, n_tags: int) -> None:
@@ -123,28 +113,32 @@ def assert_bit_identical(ref, vec, n_tags: int) -> None:
     assert ref.handoff_log == vec.handoff_log, tag
 
 
-def run_benchmark() -> dict:
-    store_wall: dict[int, float] = {}
-    store_rows: dict[int, dict] = {}
-    reference_wall: dict[int, float] = {}
+def _run(sim: FleetSimulator):
+    return sim.run()
 
+
+def run_benchmark() -> dict:
+    rows: dict[int, dict] = {}
     for n_tags in SIZES:
-        wall, result = run_once(n_tags, FleetSimulator)
-        store_wall[n_tags] = wall
-        store_rows[n_tags] = result.row()
-        if n_tags in IDENTITY_SIZES or n_tags == GATED_SIZE:
-            ref_wall, ref_result = run_once(n_tags, ReferenceFleetSimulator)
-            reference_wall[n_tags] = ref_wall
-            if n_tags in IDENTITY_SIZES:
-                assert_bit_identical(ref_result, result, n_tags)
-            else:
-                # Full per-tag compare is wasteful at the gated size; the
-                # digests + counters pin the dynamics and every tag's
-                # delivery outcome.
-                assert ref_result.row() == result.row(), f"n_tags={n_tags}"
+        result = build_sim(n_tags, FleetSimulator).run()
+        rows[n_tags] = result.row()
+        if n_tags in IDENTITY_SIZES:
+            assert_bit_identical(build_sim(n_tags, ReferenceFleetSimulator).run(), result, n_tags)
+        elif n_tags == GATED_SIZE:
+            # Full per-tag compare is wasteful at the gated size; the
+            # digests + counters pin the dynamics and every tag's
+            # delivery outcome.
+            ref_row = build_sim(n_tags, ReferenceFleetSimulator).run().row()
+            assert ref_row == rows[n_tags], f"n_tags={n_tags}"
+        del result
+
+    engines = {f"store_{n}": (n, FleetSimulator) for n in SIZES}
+    engines.update({f"reference_{n}": (n, ReferenceFleetSimulator) for n in REFERENCE_SIZES})
+    seconds = _timing.time_rounds(
+        dict.fromkeys(engines, _run), N_ROUNDS, prepare=lambda arm: build_sim(*engines[arm])
+    )
 
     n_rounds = int(build_config(SIZES[0]).duration_s)  # round_interval_s=1
-    speedup = reference_wall[GATED_SIZE] / store_wall[GATED_SIZE]
     return {
         "benchmark": "fleet_scale",
         "operating_point": {
@@ -158,29 +152,33 @@ def run_benchmark() -> dict:
             "seed": SEED,
         },
         "protocol": {
-            "kind": "single sustained chaos run per engine and size",
+            "kind": _timing.PROTOCOL,
+            "n_rounds": N_ROUNDS,
             "bit_exact_checked": True,
             "min_speedup": MIN_SPEEDUP,
         },
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.machine(),
+        "store_wall_s": {str(n): _timing.summarize(seconds[f"store_{n}"]) for n in SIZES},
+        "reference_wall_s": {
+            str(n): _timing.summarize(seconds[f"reference_{n}"]) for n in REFERENCE_SIZES
         },
-        "store_wall_s": {str(n): round(w, 3) for n, w in store_wall.items()},
-        "reference_wall_s": {str(n): round(w, 3) for n, w in reference_wall.items()},
         "store_tag_rounds_per_s": {
-            str(n): round(n * n_rounds / w, 1) for n, w in store_wall.items()
+            str(n): round(n * n_rounds / statistics.median(seconds[f"store_{n}"]), 1)
+            for n in SIZES
         },
-        "speedup_at_gated_size": round(speedup, 2),
-        "delivered": {str(n): row["delivered"] for n, row in store_rows.items()},
-        "timeline_digest": {
-            str(n): row["timeline_digest"] for n, row in store_rows.items()
+        "speedup": {
+            str(n): _timing.ratio(seconds[f"reference_{n}"], seconds[f"store_{n}"])
+            for n in REFERENCE_SIZES
         },
-        "outcome_digest": {
-            str(n): row["outcome_digest"] for n, row in store_rows.items()
-        },
+        "delivered": {str(n): row["delivered"] for n, row in rows.items()},
+        "timeline_digest": {str(n): row["timeline_digest"] for n, row in rows.items()},
+        "outcome_digest": {str(n): row["outcome_digest"] for n, row in rows.items()},
     }
+
+
+def gates(payload: dict) -> dict[str, bool]:
+    speedup = payload["speedup"][str(GATED_SIZE)]["median"]
+    gate = f"store {speedup}x >= {MIN_SPEEDUP:g}x the reference at {GATED_SIZE:,} tags"
+    return {gate: speedup >= MIN_SPEEDUP}
 
 
 def render(payload: dict) -> str:
@@ -188,14 +186,15 @@ def render(payload: dict) -> str:
     rows = []
     for n in op["sizes"]:
         key = str(n)
-        ref = payload["reference_wall_s"].get(key)
         rows.append(
             (
                 f"{n:,} tags",
-                payload["store_wall_s"][key],
+                _timing.cell(payload["store_wall_s"][key]),
                 payload["store_tag_rounds_per_s"][key],
-                ref if ref is not None else "-",
-                round(ref / payload["store_wall_s"][key], 2) if ref else "-",
+                _timing.cell(payload["reference_wall_s"][key])
+                if key in payload["reference_wall_s"]
+                else "-",
+                _timing.cell(payload["speedup"][key]) if key in payload["speedup"] else "-",
             )
         )
     return format_table(
@@ -204,26 +203,9 @@ def render(payload: dict) -> str:
         title=(
             f"Vectorized fleet round engine - {op['scenario']} chaos, "
             f"{op['n_readers']} readers, {op['n_rounds']} rounds, "
-            f"bit-exact vs frozen scalar reference"
+            f"bit-exact vs frozen scalar reference; median [IQR] over "
+            f"{payload['protocol']['n_rounds']} timing rounds"
         ),
-    )
-
-
-@pytest.mark.slow
-def test_bench_fleet_scale():
-    """Slow-lane smoke: regenerate BENCH_fleet.json and gate the speedup.
-
-    Bit-identity (rows + per-tag snapshots at the small sizes, rows at the
-    gated size) is asserted inside :func:`run_benchmark` before any timing
-    is recorded; the gate then demands >= MIN_SPEEDUP x at 100k tags.
-    """
-    payload = run_benchmark()
-    emit("BENCH_fleet_table", render(payload))
-    path = emit_json("BENCH_fleet", payload)
-    assert path.exists()
-    assert payload["speedup_at_gated_size"] >= MIN_SPEEDUP, (
-        f"vectorized engine fell below {MIN_SPEEDUP}x the scalar reference "
-        f"at {GATED_SIZE:,} tags: {payload['speedup_at_gated_size']}x"
     )
 
 
@@ -240,47 +222,43 @@ FAILOVER_SCENARIO = "reader_crash"
 
 FAILOVER_SEED = 0
 
-#: Interleaved timing rounds per failover case.
 FAILOVER_ROUNDS = 5
 
+FAILOVER_ARMS = {"wave": FleetSimulator, "per_attempt": PerAttemptFleetSimulator}
 
-def run_failover_once(config: FleetConfig, simulator: type[FleetSimulator]):
+
+def build_failover_sim(config: FleetConfig, simulator: type[FleetSimulator]) -> FleetSimulator:
     plan = NETWORK_SCENARIOS[FAILOVER_SCENARIO](config.duration_s)
-    sim = simulator(config, fault_plan=plan, root_seed=FAILOVER_SEED)
-    t0 = time.perf_counter()
-    result = sim.run()
-    return time.perf_counter() - t0, sim, result
+    return simulator(config, fault_plan=plan, root_seed=FAILOVER_SEED)
 
 
-def run_failover(rounds: int = FAILOVER_ROUNDS) -> dict:
-    arms = {"wave": FleetSimulator, "per_attempt": PerAttemptFleetSimulator}
+def failover_end_state(config: FleetConfig, simulator: type[FleetSimulator]) -> dict:
+    sim = build_failover_sim(config, simulator)
+    return fleet_end_state(sim, sim.run())
+
+
+def run_failover() -> dict:
     cases = {}
     for name, (config, min_speedup) in FAILOVER_CASES.items():
-        walls: dict[str, list[float]] = {arm: [] for arm in arms}
-        for k in range(rounds):
-            order = list(arms) if k % 2 == 0 else list(arms)[::-1]
-            states = {}
-            for arm in order:
-                wall, sim, result = run_failover_once(config, arms[arm])
-                walls[arm].append(wall)
-                if k == 0:
-                    states[arm] = fleet_end_state(sim, result)
-                del sim, result
-            if k == 0:
-                for key in states["wave"]:
-                    assert states["wave"][key] == states["per_attempt"][key], (name, key)
-                row = states["wave"]["row"]
-                del states
-        ratios = sorted(p / w for p, w in zip(walls["per_attempt"], walls["wave"]))
-        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        wave = failover_end_state(config, FleetSimulator)
+        per_attempt = failover_end_state(config, PerAttemptFleetSimulator)
+        for key in wave:
+            assert wave[key] == per_attempt[key], (name, key)
+        row = wave["row"]
+        del wave, per_attempt
+
+        seconds = _timing.time_rounds(
+            dict.fromkeys(FAILOVER_ARMS, _run),
+            FAILOVER_ROUNDS,
+            prepare=lambda arm, config=config: build_failover_sim(config, FAILOVER_ARMS[arm]),
+        )
         cases[name] = {
             "n_tags": config.n_tags,
             "queue_capacity": config.queue_capacity,
             "duration_s": config.duration_s,
-            "wave_wall_s": [round(w, 3) for w in walls["wave"]],
-            "per_attempt_wall_s": [round(w, 3) for w in walls["per_attempt"]],
-            "speedup_median": round(median, 2),
-            "speedup_iqr": [round(q1, 2), round(q3, 2)],
+            "wave_wall_s": _timing.summarize(seconds["wave"]),
+            "per_attempt_wall_s": _timing.summarize(seconds["per_attempt"]),
+            "speedup": _timing.ratio(seconds["per_attempt"], seconds["wave"]),
             "min_speedup": min_speedup,
             "handoffs": row["handoffs"],
             "shed_associations": row["shed_associations"],
@@ -292,17 +270,20 @@ def run_failover(rounds: int = FAILOVER_ROUNDS) -> dict:
         "benchmark": "fleet_failover",
         "operating_point": {"scenario": FAILOVER_SCENARIO, "n_readers": 3, "seed": FAILOVER_SEED},
         "protocol": {
-            "kind": "interleaved rounds, arm order alternating; median per-round ratio",
-            "rounds": rounds,
+            "kind": _timing.PROTOCOL,
+            "n_rounds": FAILOVER_ROUNDS,
             "full_state_identity_checked": True,
-        },
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.machine(),
         },
         "cases": cases,
     }
+
+
+def failover_gates(payload: dict) -> dict[str, bool]:
+    met = {}
+    for name, case in payload["cases"].items():
+        speedup, floor = case["speedup"]["median"], case["min_speedup"]
+        met[f"{name}: wave {speedup}x >= {floor}x per-attempt"] = speedup >= floor
+    return met
 
 
 def render_failover(payload: dict) -> str:
@@ -311,61 +292,50 @@ def render_failover(payload: dict) -> str:
             name,
             f"{case['n_tags']:,}",
             f"{case['queue_capacity']:,}",
-            statistics.median(case["per_attempt_wall_s"]),
-            statistics.median(case["wave_wall_s"]),
-            f"{case['speedup_median']} [{case['speedup_iqr'][0]}, {case['speedup_iqr'][1]}]",
+            _timing.cell(case["per_attempt_wall_s"]),
+            _timing.cell(case["wave_wall_s"]),
+            _timing.cell(case["speedup"]),
             case["min_speedup"],
         )
         for name, case in payload["cases"].items()
     ]
     return format_table(
-        ["case", "tags", "capacity", "per-attempt wall (s)", "wave wall (s)",
-         "speedup median [IQR]", "gate"],
+        ["case", "tags", "capacity", "per-attempt wall (s)", "wave wall (s)", "speedup", "gate"],
         rows,
         title=(
             f"Detach wave as one array event vs one event per tag - "
-            f"{payload['operating_point']['scenario']}, 3 readers, "
-            f"{payload['protocol']['rounds']} interleaved rounds, full state identical"
+            f"{payload['operating_point']['scenario']}, 3 readers, full state identical; "
+            f"median [IQR] over {payload['protocol']['n_rounds']} timing rounds"
         ),
     )
 
 
-def failover_misses(payload: dict) -> list[str]:
-    return [
-        f"{name}: median {case['speedup_median']}x below the {case['min_speedup']}x gate"
-        for name, case in payload["cases"].items()
-        if case["speedup_median"] < case["min_speedup"]
-    ]
+SCALE = _timing.Bench("BENCH_fleet", "BENCH_fleet_table", run_benchmark, render, gates)
+
+FAILOVER = _timing.Bench(
+    "BENCH_fleet_failover",
+    "BENCH_fleet_failover_table",
+    run_failover,
+    render_failover,
+    failover_gates,
+)
+
+
+@pytest.mark.slow
+def test_bench_fleet_scale():
+    _timing.run(SCALE)
 
 
 @pytest.mark.slow
 def test_bench_fleet_failover():
-    """Slow-lane smoke: regenerate BENCH_fleet_failover.json and gate both cases."""
-    payload = run_failover()
-    emit("BENCH_fleet_failover_table", render_failover(payload))
-    assert emit_json("BENCH_fleet_failover", payload).exists()
-    assert not failover_misses(payload)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--failover", action="store_true",
-                        help="time the failover wave instead of the scaling sweep")
-    args = parser.parse_args(argv)
-    if args.failover:
-        payload = run_failover()
-        emit("BENCH_fleet_failover_table", render_failover(payload))
-        print(f"wrote {emit_json('BENCH_fleet_failover', payload)}")
-        misses = failover_misses(payload)
-        for miss in misses:
-            print(f"GATE MISS {miss}")
-        return 1 if misses else 0
-    payload = run_benchmark()
-    emit("BENCH_fleet_table", render(payload))
-    path = emit_json("BENCH_fleet", payload)
-    print(f"wrote {path}")
-    return 0
+    _timing.run(FAILOVER)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--failover",
+        action="store_true",
+        help="time the failover wave instead of the scaling sweep",
+    )
+    _timing.run(FAILOVER if parser.parse_args().failover else SCALE)

@@ -117,22 +117,6 @@ class LinkProfile:
         assert best is not None
         return best
 
-    def lowest_rate(self) -> RateOption:
-        """The most robust (lowest) PHY rate in the database."""
-        return self.rates[0]
-
-    def most_robust_choice(self, snr_db: float) -> RateChoice:
-        """Lowest rate with the coding that survives at this SNR (baseline
-        policy: everyone runs the weakest tag's assignment)."""
-        rate = self.lowest_rate()
-        best: RateChoice | None = None
-        for coding in self.codings:
-            g = self.goodput(rate, coding, snr_db)
-            if best is None or g > best.goodput_bps:
-                best = RateChoice(rate=rate, coding=coding, goodput_bps=g)
-        assert best is not None
-        return best
-
 
 def default_profile() -> LinkProfile:
     """Profile with thresholds shaped like the paper's emulation (Fig 18a).

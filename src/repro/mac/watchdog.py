@@ -140,12 +140,6 @@ class LinkWatchdog:
         """Current position on the ladder (0 = most robust rung)."""
         return self._rung_idx
 
-    def observe_rung(self, index: int) -> None:
-        """Sync the watchdog to an externally assigned ladder position."""
-        if not 0 <= index < len(self.ladder):
-            raise ConfigError(f"rung index {index} not on the ladder {self.ladder}")
-        self._rung_idx = index
-
     def observe_rate(self, rate_bps: int) -> None:
         """Sync the watchdog to an externally assigned rate."""
         if rate_bps not in self.ladder:

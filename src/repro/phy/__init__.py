@@ -9,7 +9,7 @@ stays phase-aligned from detection through demodulation.
 """
 
 from repro.phy.frame import FrameFormat
-from repro.phy.pipeline import PacketResult, PacketSimulator, measure_ber
+from repro.phy.pipeline import PacketResult, PacketSimulator
 from repro.phy.receiver import PhyReceiver, ReceiverOutput
 from repro.phy.transmitter import PhyTransmitter
 
@@ -20,5 +20,4 @@ __all__ = [
     "PhyReceiver",
     "PhyTransmitter",
     "ReceiverOutput",
-    "measure_ber",
 ]

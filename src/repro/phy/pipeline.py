@@ -28,7 +28,7 @@ from repro.utils.bits import bit_errors, bytes_to_bits
 from repro.utils.opcache import fingerprint, fingerprint_array, fingerprint_config, resolve_opcache
 from repro.utils.rng import ensure_rng
 
-__all__ = ["CaptureSpec", "PacketResult", "PacketSimulator", "measure_ber"]
+__all__ = ["CaptureSpec", "PacketResult", "PacketSimulator"]
 
 
 @dataclass
@@ -452,9 +452,3 @@ class PacketSimulator:
             results=results,
         )
 
-
-def measure_ber(
-    simulator: PacketSimulator, n_packets: int = 30, rng=None, keep_results: bool = False
-) -> BERMeasurement:
-    """Function-style alias of :meth:`PacketSimulator.measure_ber`."""
-    return simulator.measure_ber(n_packets=n_packets, rng=rng, keep_results=keep_results)

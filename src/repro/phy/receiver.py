@@ -57,6 +57,12 @@ __all__ = ["PhyReceiver", "ReceiverOutput"]
 
 log = get_logger(__name__)
 
+#: A trained bank is rejected when the solve's residual ratio exceeds
+#: ``TRAINING_RESIDUAL_FACTOR * (10^(-snr/10) + TRAINING_RESIDUAL_FLOOR)``,
+#: i.e. far above the noise floor the detection SNR predicts.
+TRAINING_RESIDUAL_FACTOR = 10.0
+TRAINING_RESIDUAL_FLOOR = 0.02
+
 
 @dataclass
 class ReceiverOutput:
@@ -105,12 +111,6 @@ class PhyReceiver:
         ``False`` the receiver reproduces the original fragile behaviour:
         no retries, no training fallback, and a truncated detected packet
         raises ``ValueError``.
-    max_detection_retries:
-        Bound on fallback preamble searches (0-2).
-    training_residual_factor / training_residual_floor:
-        The trained bank is rejected when the solve's residual ratio
-        exceeds ``factor * (10^(-snr/10) + floor)`` — i.e. far above the
-        noise floor the detection SNR predicts.
     opcache:
         Operating-point artifact cache (:mod:`repro.utils.opcache`),
         forwarded to the online trainer so the training design matrix and
@@ -130,9 +130,6 @@ class PhyReceiver:
         fixed_bank: ReferenceBank | None = None,
         fallback_tables: list[FingerprintTable] | None = None,
         hardened: bool = True,
-        max_detection_retries: int = 2,
-        training_residual_factor: float = 10.0,
-        training_residual_floor: float = 0.02,
         observer=None,
         opcache=None,
         resync: bool = True,
@@ -144,9 +141,6 @@ class PhyReceiver:
         self.online_training = online_training
         self.fixed_bank = fixed_bank
         self.hardened = hardened
-        self.max_detection_retries = max_detection_retries
-        self.training_residual_factor = training_residual_factor
-        self.training_residual_floor = training_residual_floor
         self.resync = resync
         self._obs = ensure_observer(observer)
         self._trainer = OnlineTrainer(
@@ -235,7 +229,7 @@ class PhyReceiver:
                     dict(search_start=0, search_stop=None, reference_tail_slots=tail_slots),
                 )
             )
-        for detail, kwargs in retries[: self.max_detection_retries]:
+        for detail, kwargs in retries:
             try:
                 retry = frame.preamble.detect(x, **kwargs)
             except ValueError:
@@ -263,7 +257,7 @@ class PhyReceiver:
             log.warning("online training failed (%s); using nominal bank", exc)
             return self._nominal_bank
         noise_ratio = 10.0 ** (-snr_db / 10.0) if np.isfinite(snr_db) else 1.0
-        limit = self.training_residual_factor * (noise_ratio + self.training_residual_floor)
+        limit = TRAINING_RESIDUAL_FACTOR * (noise_ratio + TRAINING_RESIDUAL_FLOOR)
         if not diag.finite or diag.rank_deficient:
             self._event(
                 events,
