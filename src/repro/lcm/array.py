@@ -214,8 +214,19 @@ class LCMArray:
         )
         phi, state = result if return_state else (result, None)
         if self.fidelity == "malus":
-            s = LCResponseModel.optical_amplitude(phi)
-            u = (self._weights * s).sum(axis=0)
+            # LCResponseModel.optical_amplitude's ops, in phi's own buffer:
+            # s = 2 sin^2(pi phi / 2) - 1.
+            s = np.multiply(phi, np.pi / 2.0, out=phi)
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            np.multiply(s, 2.0, out=s)
+            np.subtract(s, 1.0, out=s)
+            # The complex weighted sum as its real and imaginary row sums
+            # over axis 0, each in the order of the complex one.
+            u = np.empty(s.shape[1], dtype=complex)
+            term = np.empty_like(s)
+            np.sum(np.multiply(s, self._weights.real, out=term), axis=0, out=u.real)
+            np.sum(np.multiply(s, self._weights.imag, out=term), axis=0, out=u.imag)
             u = u * np.exp(2j * roll_rad)
         else:
             from repro.optics.polarstack import jones_baseband, stokes_baseband

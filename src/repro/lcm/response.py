@@ -42,6 +42,7 @@ polarization basis vector.  This mixture model is what yields the paper's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -186,14 +187,18 @@ def _discharge_phi_below(p: "LCParams", phi0, psi0, t):
     """The ``psi0 <= psi_gate`` lane of :func:`_discharge_phi`, alone.
 
     Same contract as :func:`_discharge_phi_above`, for rows at or below
-    the gate.  When ``t`` is a shared in-tick offset vector the lane's
-    only exponential collapses to that vector's length.
+    the gate.  ``psi0`` and ``t`` must broadcast to the output's shape:
+    after the first full-size step the lane's ops run in place.
     """
     xp = active_backend().xp
-    gated = t - (psi0 / p.psi_gate) * p.tau_plateau * (1.0 - xp.exp(-t / p.tau_plateau))
-    exponent = (gated + p.leak * t) / p.tau_discharge
-    phi = phi0 * xp.exp(-exponent)
-    return xp.clip(phi, 0.0, 1.0)
+    out = xp.multiply((psi0 / p.psi_gate) * p.tau_plateau, 1.0 - xp.exp(-t / p.tau_plateau))
+    xp.subtract(t, out, out=out)
+    xp.add(out, p.leak * t, out=out)
+    xp.divide(out, p.tau_discharge, out=out)
+    xp.negative(out, out=out)
+    xp.exp(out, out=out)
+    xp.multiply(phi0, out, out=out)
+    return xp.clip(out, 0.0, 1.0, out=out)
 
 
 def _discharge_psi(p: "LCParams", psi0, t):
@@ -237,6 +242,17 @@ class LCParams:
     """Residual relaxation rate during the plateau (the plateau is only
     *relatively* flat in Fig 3)."""
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if name == "psi_gate":
+                ok, rule = 0 < value <= 1, "lie in (0, 1]"
+            elif name.startswith("tau_"):
+                ok, rule = math.isfinite(value) and value > 0, "be finite and positive"
+            else:
+                ok, rule = math.isfinite(value) and value >= 0, "be finite and non-negative"
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {value!r}")
+
     def scaled(self, factor: float) -> "LCParams":
         """A copy with all time constants multiplied by ``factor``.
 
@@ -244,8 +260,8 @@ class LCParams:
         CCN-47 and ferroelectric LCs with far shorter restoration times) and
         per-pixel manufacturing spread.
         """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("scale factor must be finite and positive")
         return replace(
             self,
             tau_charge=self.tau_charge * factor,
@@ -402,15 +418,13 @@ class LCResponseModel:
         n_samples = int(boundaries[-1])
         phi = xp.broadcast_to(xp.asarray(phi0, dtype=float), (n_pixels,)).copy()
         psi = xp.broadcast_to(xp.asarray(psi0, dtype=float), (n_pixels,)).copy()
-        if time_scale is not None:
-            scale = xp.atleast_1d(xp.asarray(time_scale, dtype=float))
-            if backend.scalar(xp.any(scale <= 0)):
-                raise ValueError("time_scale entries must be positive")
-            scale = xp.broadcast_to(scale, (n_pixels,))
-            t_end = tick_s / scale
-        else:
-            scale = None
-            t_end = xp.full(n_pixels, float(tick_s))
+        # No dilation is a scale of ones: x / 1.0 == x bitwise, so both
+        # cases run one path with the reference's exact values.
+        scale = xp.atleast_1d(xp.asarray(1.0 if time_scale is None else time_scale, dtype=float))
+        if backend.scalar(xp.any(scale <= 0)):
+            raise ValueError("time_scale entries must be positive")
+        scale = xp.broadcast_to(scale, (n_pixels,))
+        t_end = tick_s / scale
 
         # ---- pass 1: end-of-tick boundary states -------------------------
         # Tick-major (n_ticks, n_pixels) layout keeps every per-tick row
@@ -534,60 +548,29 @@ class LCResponseModel:
         if n_samples == 0:
             out = xp.empty((n_pixels, 0), dtype=float)
         elif n_samples % n_ticks == 0:
-            # Uniform grid (every shipped operating point: boundaries are
-            # then exact multiples of the per-tick sample count).  Expand on
-            # a (pixel, tick, sample-in-tick) view: states vary per
-            # (pixel, tick) pair while the in-tick sample offsets are one
-            # shared vector — the exact broadcast shape the reference maps
-            # evaluate, so per-sample gathers disappear and the offset-only
-            # exponentials collapse to spt-sized vectors.
+            # Uniform grid (every shipped operating point): a (pixel, tick,
+            # sample) view, (P, T, 1) states against (P, 1, S) per-pixel
+            # offsets, so offset-only terms are never repeated per tick.
+            # _discharge_phi's branch is constant per (pixel, tick) row: the
+            # below-gate lane runs over the whole grid (stress clamped at the
+            # gate, a no-op on its own rows), then the ON and above-gate rows
+            # are overwritten with their own lanes, giving reference bits.
             spt = n_samples // n_ticks
             # Identical arithmetic to the reference's (arange(n) + 1.0)/fs.
-            t_local = (xp.arange(spt) + 1.0) / fs
-            out = xp.empty((n_pixels, n_samples), dtype=float)
-            out3 = out.reshape(n_pixels, n_ticks, spt)
-            ph = phi_start_t.T
-            ps = psi_start_t.T
-            # Discharging (pixel, tick) rows split by their gate state: the
-            # branch condition of _discharge_phi's np.where is constant per
-            # row, so evaluating only the selected lane per row subset gives
-            # identical bits while skipping the unselected lane's
-            # exponentials (most frame rows sit below the gate, whose lane
-            # is by far the cheaper one on a shared offset vector).
-            if scale is None:
-                if on.all():
-                    out3[:] = _charge_phi(p, ph[:, :, None], t_local[None, None, :])
-                else:
-                    off = ~on
-                    if on.any():
-                        out3[on] = _charge_phi(p, ph[on][:, None], t_local[None, :])
-                    below = ps <= p.psi_gate
-                    for mask, lane in (
-                        (off & below, _discharge_phi_below),
-                        (off & ~below, _discharge_phi_above),
-                    ):
-                        if mask.any():
-                            out3[mask] = lane(
-                                p, ph[mask][:, None], ps[mask][:, None], t_local[None, :]
-                            )
-            else:
-                t_pix = t_local[None, :] / scale[:, None]
-                if on.all():
-                    out3[:] = _charge_phi(p, ph[:, :, None], t_pix[:, None, :])
-                else:
-                    off = ~on
-                    pix = xp.broadcast_to(xp.arange(n_pixels)[:, None], on.shape)
-                    if on.any():
-                        out3[on] = _charge_phi(p, ph[on][:, None], t_pix[pix[on]])
-                    below = ps <= p.psi_gate
-                    for mask, lane in (
-                        (off & below, _discharge_phi_below),
-                        (off & ~below, _discharge_phi_above),
-                    ):
-                        if mask.any():
-                            out3[mask] = lane(
-                                p, ph[mask][:, None], ps[mask][:, None], t_pix[pix[mask]]
-                            )
+            t_pix = ((xp.arange(spt) + 1.0) / fs)[None, :] / scale[:, None]
+            # Pixel-major states, so the grid comes out pixel-major.
+            ph = xp.ascontiguousarray(phi_start_t.T)[:, :, None]
+            ps = xp.ascontiguousarray(psi_start_t.T)[:, :, None]
+            out3 = _discharge_phi_below(p, ph, xp.minimum(ps, p.psi_gate), t_pix[:, None, :])
+            # Rows by flat index pixel * n_ticks + tick.
+            rows = out3.reshape(n_pixels * n_ticks, spt)
+            ph = ph.reshape(-1, 1)
+            ps = ps.reshape(-1, 1)
+            on_rows = xp.flatnonzero(on)
+            rows[on_rows] = _charge_phi(p, ph[on_rows], t_pix[on_rows // n_ticks])
+            above = xp.flatnonzero(~(on.ravel() | (ps[:, 0] <= p.psi_gate)))
+            rows[above] = _discharge_phi_above(p, ph[above], ps[above], t_pix[above // n_ticks])
+            out = out3.reshape(n_pixels, n_samples)
         else:
             # Non-uniform boundary table: flat (pixel, sample) expansion
             # with per-sample tick gathers.
@@ -596,10 +579,7 @@ class LCResponseModel:
             # Per-sample offset into its tick: identical arithmetic to the
             # reference's per-tick (arange(n_here) + 1.0) / fs.
             t_row = (xp.arange(n_samples) - xp.asarray(boundaries)[tick_of] + 1.0) / fs
-            if scale is not None:
-                t_grid = t_row[None, :] / scale[:, None]
-            else:
-                t_grid = xp.broadcast_to(t_row, (n_pixels, n_samples))
+            t_grid = t_row[None, :] / scale[:, None]
             grid_on = on[:, tick_of]
             phi0_grid = xp.ascontiguousarray(phi_start_t.T[:, tick_of])
             psi0_grid = psi_start_t.T[:, tick_of]

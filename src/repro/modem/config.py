@@ -12,6 +12,7 @@ pixels (footnote 7 notes the tag hardware itself supports 16 Kbps with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["ModemConfig", "RATE_PRESETS", "preset_for_rate"]
@@ -50,10 +51,10 @@ class ModemConfig:
         p = self.pqam_order
         if p < 4 or (p & (p - 1)) or (p.bit_length() - 1) % 2:
             raise ValueError("pqam_order must be an even power of two >= 4 (4, 16, 64, 256, ...)")
-        if self.slot_s <= 0:
-            raise ValueError("slot_s must be positive")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (math.isfinite(self.slot_s) and self.slot_s > 0):
+            raise ValueError("slot_s must be positive and finite")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError("fs must be positive and finite")
         if self.tail_memory < 1:
             raise ValueError("tail_memory must be >= 1")
         if self.samples_per_slot < 2:
@@ -104,8 +105,8 @@ class ModemConfig:
         the raw bit rate grows by ``1 / time_scale``.  Pair with
         ``LCParams.scaled(time_scale)`` / the material presets.
         """
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not (math.isfinite(time_scale) and time_scale > 0):
+            raise ValueError("time_scale must be positive and finite")
         return replace(self, slot_s=self.slot_s * time_scale, fs=self.fs / time_scale)
 
     def describe(self) -> str:

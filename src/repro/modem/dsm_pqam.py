@@ -31,6 +31,8 @@ class DsmPqamModulator:
         self.config = config
         self.array = array
         self.constellation = PQAMConstellation(config.pqam_order)
+        # Per group: its channel, drive rows and first firing slot.
+        self._firings = []
         for channel in ("I", "Q"):
             groups = array.groups_on(channel)
             if len(groups) != config.dsm_order:
@@ -43,6 +45,10 @@ class DsmPqamModulator:
                         f"group {channel}{g.index} offers {g.n_levels} levels; "
                         f"config needs {config.levels_per_axis}"
                     )
+                self._firings.append((channel, array.pixel_slice(g), g.index))
+        # LCMGroup.level_to_drive's MSB-first bit shifts, as a column.
+        n_bits = config.levels_per_axis.bit_length() - 1
+        self._shifts = np.arange(n_bits - 1, -1, -1)[:, None]
 
     # ------------------------------------------------------------ schedule
 
@@ -59,17 +65,16 @@ class DsmPqamModulator:
         if levels_i.shape != levels_q.shape or levels_i.ndim != 1:
             raise ValueError("levels_i and levels_q must be equal-length 1-D arrays")
         n_slots = levels_i.size
-        cfg = self.config
         m = self.constellation.levels_per_axis
         if levels_i.size and (levels_i.min() < 0 or levels_i.max() >= m or levels_q.min() < 0 or levels_q.max() >= m):
             raise ValueError(f"levels must lie in [0, {m})")
         drive = np.zeros((self.array.n_pixels, n_slots), dtype=np.uint8)
-        for channel, levels in (("I", levels_i), ("Q", levels_q)):
-            for group in self.array.groups_on(channel):
-                rows = self.array.pixel_slice(group)
-                slots = np.arange(group.index, n_slots, cfg.dsm_order)
-                for n in slots:
-                    drive[rows, n] = group.level_to_drive(int(levels[n]))
+        levels = {"I": levels_i, "Q": levels_q}
+        step = self.config.dsm_order
+        for channel, rows, first in self._firings:
+            # All of the group's firing slots at once: each slot's level
+            # expanded into bits down the group's pixel rows.
+            drive[rows, first::step] = (levels[channel][first::step] >> self._shifts) & 1
         return drive
 
     def waveform_for_levels(

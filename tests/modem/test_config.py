@@ -54,6 +54,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModemConfig(tail_memory=0)
 
+    @pytest.mark.parametrize("name", ["slot_s", "fs"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_timing_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            ModemConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+    def test_non_finite_material_scale_rejected(self, value):
+        with pytest.raises(ValueError, match="time_scale must be positive"):
+            ModemConfig().scaled_to_material(value)
+
 
 class TestPresets:
     def test_all_presets_hit_their_rate(self):
